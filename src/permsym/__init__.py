@@ -27,7 +27,7 @@ from .groups import (
     is_commutative,
     verify_closure,
 )
-from .matrices import DimensionError, ExactMatrix, direct_sum, kron, matmul, star2
+from .matrices import DimensionError, ExactMatrix, direct_sum, kron, star2
 from .models import ModelError, ModelSpec, build, list_models, sigma, sigma_at
 from .perms import Perm, compose, induced_site_perm, inverse
 from .scalars import (
@@ -90,7 +90,6 @@ __all__ = [
     "is_symmetry",
     "kron",
     "list_models",
-    "matmul",
     "param",
     "parse",
     "projectors_from_involution",

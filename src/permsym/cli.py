@@ -56,6 +56,10 @@ def read_matrix_file(path):
             raw = fh.read()
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+        ) from None
     lines = [(no + 1, line) for no, line in enumerate(raw.splitlines()) if line.strip()]
     if not lines:
         raise MatrixFileError(f"{path}: empty matrix file")
@@ -72,6 +76,8 @@ def read_matrix_file(path):
             f"{path}: expected {rows} entry rows after the header, found {len(body)}"
         )
     entries = []
+    # each distinct token is parsed once, so equal entries share one scalar
+    parsed = {}
     for line_no, line in body:
         tokens = line.split()
         if len(tokens) != cols:
@@ -79,10 +85,13 @@ def read_matrix_file(path):
                 f"{path}:{line_no}: expected {cols} entries, found {len(tokens)}"
             )
         for token in tokens:
-            try:
-                entries.append(parse(token))
-            except ParseError as exc:
-                raise MatrixFileError(f"{path}:{line_no}: {token!r}: {exc}") from None
+            value = parsed.get(token)
+            if value is None:
+                try:
+                    value = parsed[token] = parse(token)
+                except ParseError as exc:
+                    raise MatrixFileError(f"{path}:{line_no}: {token!r}: {exc}") from None
+            entries.append(value)
     return ExactMatrix(rows, cols, entries)
 
 

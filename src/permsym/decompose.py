@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .matrices import DimensionError, ExactMatrix
-from .scalars import PolyScalar, as_scalar, rational
+from .scalars import ONE, ZERO, PolyScalar, as_scalar, rational
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,12 @@ def projectors_from_involution(p):
 
 
 def _rref(rows):
-    """Reduced row echelon form in place; returns the list of pivot columns."""
+    """Reduced row echelon form in place; returns the list of pivot columns.
+
+    Rows are replaced, never mutated, so callers may pass rows they share.
+    Scaling and elimination only touch the pivot row's non-zero columns; a
+    pivot that is already 1 is not scaled.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
@@ -82,12 +87,21 @@ def _rref(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        support = [(t, y) for t, y in enumerate(rows[r]) if y != 0]
+        if rows[r][c] != 1:
+            inv = 1 / rows[r][c]
+            support = [(t, y * inv) for t, y in support]
+            row = list(rows[r])
+            for t, y in support:
+                row[t] = y
+            rows[r] = row
         for k in range(len(rows)):
             if k != r and rows[k][c] != 0:
                 f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+                row = list(rows[k])
+                for t, y in support:
+                    row[t] = row[t] - f * y
+                rows[k] = row
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -119,10 +133,14 @@ def _primitive(vec):
 def _constant_fraction_matrix(m):
     """Entries of a parameter-free matrix as Fractions; rejects imaginary parts."""
     out = []
+    zero = Fraction(0)
     for r in range(m.rows):
         row = []
         for c in range(m.cols):
             x = m[r, c]
+            if x is ZERO:
+                row.append(zero)
+                continue
             if not x.is_constant():
                 raise ValueError(f"parametric entry at ({r}, {c}): {x}")
             v = x.constant_value()
@@ -214,8 +232,11 @@ def is_invariant_subspace(h, basis):
 def block_form(h, basis1, basis2):
     """H rewritten in the basis b1 + b2, exactly; blocks sized |b1| and |b2|.
 
-    Raises if the vectors do not form a full basis or the two subspaces are
-    not H-invariant.  The result is block diagonal by construction.
+    Computes ``S^-1 (H S)`` for the matrix ``S`` whose columns are the basis
+    vectors.  Since ``S`` is invertible, the result is block diagonal exactly
+    when both spans are H-invariant, so a non-zero off-block entry is the
+    invariance test.  Raises ValueError if the vectors do not form a full
+    basis or the two subspaces are not H-invariant.
     """
     if not h.is_square():
         raise DimensionError("need a square matrix")
@@ -223,34 +244,55 @@ def block_form(h, basis1, basis2):
     vectors = list(basis1) + list(basis2)
     if len(vectors) != n:
         raise ValueError(f"{len(vectors)} basis vectors for dimension {n}: not a full basis")
-    if _rank([[Fraction(x) for x in v] for v in vectors]) != n:
-        raise ValueError("basis vectors are linearly dependent: not a full basis")
-    if not is_invariant_subspace(h, basis1) or not is_invariant_subspace(h, basis2):
-        raise ValueError("subspaces are not invariant under the matrix")
-
-    s = ExactMatrix(n, n, [rational(vectors[c][r]) for r in range(n) for c in range(n)])
+    for basis in (basis1, basis2):
+        if len(basis) and len(basis.vectors[0]) != n:
+            raise DimensionError(
+                f"basis vectors of length {len(basis.vectors[0])} do not match size {n}"
+            )
     s_inv = _invert_rational(vectors, n)
-    result = s_inv @ (h @ s)
+    if s_inv is None:
+        raise ValueError("basis vectors are linearly dependent: not a full basis")
+    shared = {1: ONE}
+    s = _shared_matrix([[vectors[c][r] for c in range(n)] for r in range(n)], shared)
+    result = _shared_matrix(s_inv, shared) @ (h @ s)
 
     k = len(basis1)
+    e = result.entries()
     for r in range(n):
-        for c in range(n):
-            if (r < k) != (c < k):
-                assert not result[r, c], f"nonzero off-block entry at ({r}, {c})"
+        off_block = e[r * n + k : (r + 1) * n] if r < k else e[r * n : r * n + k]
+        if any(off_block):
+            raise ValueError("subspaces are not invariant under the matrix")
     return result
 
 
+def _shared_matrix(rows, shared):
+    """Exact square matrix of rational rows; equal entries share one PolyScalar."""
+    entries = []
+    for row in rows:
+        for q in row:
+            if not q:
+                entries.append(ZERO)
+                continue
+            x = shared.get(q)
+            if x is None:
+                x = shared[q] = rational(q)
+            entries.append(x)
+    return ExactMatrix(len(rows), len(rows), entries)
+
+
 def _invert_rational(column_vectors, n):
-    """Exact inverse of the matrix whose columns are the given vectors."""
+    """Rows of the exact inverse of the matrix whose columns are the given
+    vectors, as Fractions; None if that matrix is singular."""
+    zero, one = Fraction(0), Fraction(1)
     aug = [
-        [Fraction(column_vectors[c][r]) for c in range(n)]
-        + [Fraction(1 if c == r else 0) for c in range(n)]
+        [Fraction(v[r]) if v[r] else zero for v in column_vectors]
+        + [one if c == r else zero for c in range(n)]
         for r in range(n)
     ]
     pivots = _rref(aug)
     if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return ExactMatrix(n, n, [rational(aug[r][n + c]) for r in range(n) for c in range(n)])
+        return None
+    return [row[n:] for row in aug]
 
 
 def verify_eigenpair(h, eigenvalue, vector):

@@ -1,6 +1,17 @@
 """Dense matrices over PolyScalar with the exact operations used throughout:
 multiplication, transpose, conjugate transpose, Kronecker product, direct sum
 and the 2x2 star product.  All matrices are immutable.
+
+Entries are stored densely, row-major, but every zero entry is the shared
+``ZERO`` singleton, so the kernels skip zeros with an identity test instead of
+touching them.  ``@`` is a row-wise sparse product (Gustavson, ACM TOMS 1978):
+the non-zeros of each row of the right operand are listed once, and each
+non-zero ``a[r, t]`` adds ``a[r, t] * b[t, c]`` into the row's accumulator in
+ascending ``t``.  ``kron`` emits whole runs of ``ZERO`` for zero entries of its
+left operand, and ``+``, ``-`` and scalar ``*`` pass zeros through.  Products
+with the ``ONE`` singleton return the other factor.  Results of these kernels
+are built by a trusted constructor that skips re-coercing entries that are
+already PolyScalars; entries that cancel to zero are replaced by ``ZERO``.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_e", "_hash")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(as_scalar(x) for x in entries)
+        entries = tuple(as_scalar(x) or ZERO for x in entries)
         if len(entries) != rows * cols:
             raise DimensionError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
@@ -25,6 +36,16 @@ class ExactMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_e", entries)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, rows, cols, entries):
+        """Wrap a tuple of PolyScalars whose zeros are all ``ZERO``, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_e", entries)
+        object.__setattr__(m, "_hash", None)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -44,12 +65,13 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [ONE if r == c else ZERO for r in range(n) for c in range(n)])
+        entries = [ONE if r == c else ZERO for r in range(n) for c in range(n)]
+        return cls._trusted(n, n, tuple(entries))
 
     @classmethod
     def zeros(cls, rows, cols=None):
         cols = rows if cols is None else cols
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls._trusted(rows, cols, (ZERO,) * (rows * cols))
 
     # -- access --------------------------------------------------------
 
@@ -79,27 +101,36 @@ class ExactMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch: {self.shape} + {other.shape}")
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)]
-        )
+        return ExactMatrix._trusted(self.rows, self.cols, tuple([
+            a if b is ZERO else b if a is ZERO else (a + b or ZERO)
+            for a, b in zip(self._e, other._e)
+        ]))
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch: {self.shape} - {other.shape}")
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)]
-        )
+        return ExactMatrix._trusted(self.rows, self.cols, tuple([
+            a if b is ZERO else (a - b or ZERO) for a, b in zip(self._e, other._e)
+        ]))
 
     def __neg__(self):
-        return ExactMatrix(self.rows, self.cols, [-a for a in self._e])
+        return ExactMatrix._trusted(
+            self.rows, self.cols, tuple([a if a is ZERO else -a for a in self._e])
+        )
 
     def __mul__(self, scalar):
         s = as_scalar(scalar) if not isinstance(scalar, ExactMatrix) else None
         if s is None:
             return NotImplemented
-        return ExactMatrix(self.rows, self.cols, [a * s for a in self._e])
+        if not s:
+            return ExactMatrix._trusted(self.rows, self.cols, (ZERO,) * len(self._e))
+        # a product of non-zero polynomials is non-zero
+        return ExactMatrix._trusted(
+            self.rows, self.cols,
+            tuple([a if a is ZERO else s if a is ONE else a * s for a in self._e]),
+        )
 
     __rmul__ = __mul__
 
@@ -114,25 +145,30 @@ class ExactMatrix:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         n, m, k = self.rows, other.cols, self.cols
         a, b = self._e, other._e
-        out = []
+        b_rows = [
+            [(c, y) for c, y in enumerate(b[t * m : (t + 1) * m]) if y is not ZERO]
+            for t in range(k)
+        ]
+        out = [ZERO] * (n * m)
         for r in range(n):
-            arow = a[r * k : (r + 1) * k]
-            for c in range(m):
-                acc = ZERO
-                for t in range(k):
-                    x = arow[t]
-                    if x:
-                        y = b[t * m + c]
-                        if y:
-                            acc = acc + x * y
-                out.append(acc)
-        return ExactMatrix(n, m, out)
+            acc = {}
+            for t, x in enumerate(a[r * k : (r + 1) * k]):
+                if x is ZERO:
+                    continue
+                for c, y in b_rows[t]:
+                    xy = x if y is ONE else y if x is ONE else x * y
+                    prev = acc.get(c)
+                    acc[c] = xy if prev is None else prev + xy
+            base = r * m
+            for c, v in acc.items():
+                if v:
+                    out[base + c] = v
+        return ExactMatrix._trusted(n, m, tuple(out))
 
     def transpose(self):
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self._e[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)],
+        e, cols = self._e, self.cols
+        return ExactMatrix._trusted(
+            cols, self.rows, tuple(x for c in range(cols) for x in e[c::cols])
         )
 
     def conjugate(self):
@@ -146,9 +182,11 @@ class ExactMatrix:
         if not self.is_square():
             raise DimensionError("hermiticity is defined for square matrices only")
         n = self.rows
+        e = self._e
         for r in range(n):
             for c in range(r, n):
-                if self._e[r * n + c] != self._e[c * n + r].conjugate():
+                x, y = e[r * n + c], e[c * n + r]
+                if (x is not ZERO or y is not ZERO) and x != y.conjugate():
                     return False
         return True
 
@@ -196,20 +234,24 @@ class ExactMatrix:
         )
 
 
-def matmul(a, b):
-    return a @ b
-
-
 def kron(a, b):
     """Kronecker product, (a.rows*b.rows) x (a.cols*b.cols)."""
+    ae, be, ac, bc = a._e, b._e, a.cols, b.cols
+    b_rows = [be[r * bc : (r + 1) * bc] for r in range(b.rows)]
+    zeros = (ZERO,) * bc
     out = []
     for ar in range(a.rows):
-        for br in range(b.rows):
-            for ac in range(a.cols):
-                x = a[ar, ac]
-                for bc in range(b.cols):
-                    out.append(x * b[br, bc] if x else ZERO)
-    return ExactMatrix(a.rows * b.rows, a.cols * b.cols, out)
+        a_row = ae[ar * ac : (ar + 1) * ac]
+        for b_row in b_rows:
+            for x in a_row:
+                if x is ZERO:
+                    out.extend(zeros)
+                else:
+                    out.extend([
+                        ZERO if y is ZERO else x if y is ONE else y if x is ONE else x * y
+                        for y in b_row
+                    ])
+    return ExactMatrix._trusted(a.rows * b.rows, ac * bc, tuple(out))
 
 
 def direct_sum(a, b):

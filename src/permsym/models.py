@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import ExactMatrix, kron
-from .scalars import GaussRational, PolyScalar, as_scalar, param
+from .scalars import ONE, ZERO, GaussRational, PolyScalar, as_scalar, param
 
 
 class ModelError(ValueError):
@@ -21,13 +21,13 @@ class ModelError(ValueError):
 def sigma(k):
     """The 2x2 Pauli matrix sigma_1, sigma_2 or sigma_3."""
     if k == 1:
-        return ExactMatrix.from_rows([[0, 1], [1, 0]])
+        return ExactMatrix.from_rows([[ZERO, ONE], [ONE, ZERO]])
     if k == 2:
         mi = PolyScalar.constant(GaussRational(0, -1))
         pi = PolyScalar.constant(GaussRational(0, 1))
-        return ExactMatrix.from_rows([[0, mi], [pi, 0]])
+        return ExactMatrix.from_rows([[ZERO, mi], [pi, ZERO]])
     if k == 3:
-        return ExactMatrix.from_rows([[1, 0], [0, -1]])
+        return ExactMatrix.from_rows([[ONE, ZERO], [ZERO, -ONE]])
     raise ModelError(f"sigma index must be 1, 2 or 3, not {k}")
 
 

@@ -3,7 +3,7 @@
 A permutation is stored as its image array: ``p.image[u]`` is where index
 ``u`` goes.  The matrix realization puts a 1 at row ``u``, column
 ``image[u]``, and composition is defined so that the realization is a
-homomorphism: ``(p * q).matrix() == p.matrix() @ q.matrix()``.
+homomorphism: ``(p * q).to_matrix() == p.to_matrix() @ q.to_matrix()``.
 """
 
 from __future__ import annotations
@@ -93,8 +93,6 @@ class Perm:
         for u, j in enumerate(self.image):
             entries[u * n + j] = ONE
         return ExactMatrix(n, n, entries)
-
-    matrix = to_matrix
 
     @classmethod
     def from_matrix(cls, m):

@@ -69,7 +69,8 @@ def is_symmetry(h, p):
         pu = img[u] * n
         un = u * n
         for v in range(n):
-            if e[pu + img[v]] != e[un + v]:
+            x, y = e[pu + img[v]], e[un + v]
+            if x is not y and x != y:
                 return False
     return True
 

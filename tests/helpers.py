@@ -93,6 +93,60 @@ def reference_search(h):
     return found, trials
 
 
+# -- naive dense kernels: references for the zero-skipping ones --------------
+
+
+def reference_matmul(a, b):
+    """Matrix product by the textbook triple loop, zeros included."""
+    assert a.cols == b.rows
+    out = []
+    for r in range(a.rows):
+        for c in range(b.cols):
+            acc = PolyScalar()
+            for t in range(a.cols):
+                acc = acc + a[r, t] * b[t, c]
+            out.append(acc)
+    return ExactMatrix(a.rows, b.cols, out)
+
+
+def reference_kron(a, b):
+    """Kronecker product entry by entry: out[(i, k), (j, l)] = a[i, j] * b[k, l]."""
+    return ExactMatrix(
+        a.rows * b.rows,
+        a.cols * b.cols,
+        [
+            a[i, j] * b[k, l]
+            for i in range(a.rows)
+            for k in range(b.rows)
+            for j in range(a.cols)
+            for l in range(b.cols)
+        ],
+    )
+
+
+def reference_similarity(h, vectors):
+    """S^-1 H S for the integer columns ``vectors``, summed entry by entry
+    with Fraction coefficients; S^-1 comes from Gauss-Jordan on [S | I]."""
+    n = len(vectors)
+    aug = [
+        [Fraction(vectors[c][r]) for c in range(n)] + [Fraction(int(c == r)) for c in range(n)]
+        for r in range(n)
+    ]
+    assert _rref(aug) == list(range(n)), "singular basis"
+    s_inv = [row[n:] for row in aug]
+    out = []
+    for r in range(n):
+        for c in range(n):
+            acc = PolyScalar()
+            for i in range(n):
+                for j in range(n):
+                    q = s_inv[r][i] * vectors[c][j]
+                    if q:
+                        acc = acc + h[i, j] * q
+            out.append(acc)
+    return ExactMatrix(n, n, out)
+
+
 # -- exact kernel of a parametric matrix on constant vectors ----------------
 
 

@@ -1,7 +1,8 @@
 import json
 
-from permsym import Perm, build, find_symmetries
-from permsym.cli import main
+from permsym import ExactMatrix, Perm, build, find_symmetries
+from permsym.cli import main, read_matrix_file
+from permsym.scalars import ZERO
 
 from helpers import ISING4_ROWS
 
@@ -208,6 +209,27 @@ class TestMatrixFiles:
         path = self.write(tmp_path, "1 2\n0 t\n")
         code, out, err = run_cli(capsys, "find", "--input", path)
         assert code == 3
+
+    def test_non_utf8_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 1\n\xff\n")
+        code, out, err = run_cli(capsys, "find", "--input", str(path))
+        assert code == 2
+        assert err == f"error: {path}: not UTF-8 text: byte 0xff at offset 4\n"
+        assert out == ""
+
+    def test_parse_error_names_line_and_token(self, capsys, tmp_path):
+        path = self.write(tmp_path, "2 2\n0 t\nt$ 0\n")
+        code, out, err = run_cli(capsys, "find", "--input", path)
+        assert code == 2
+        assert err == f"error: {path}:3: 't$': unexpected character '$' (at position 1)\n"
+
+    def test_equal_tokens_share_one_scalar(self, tmp_path):
+        path = self.write(tmp_path, "3 3\n2*t 1/2 0\n1/2 2*t 0\n0 0 -a\n")
+        m = read_matrix_file(path)
+        assert m[0, 0] is m[1, 1] and m[0, 1] is m[1, 0]
+        assert m[0, 2] is ZERO and m[2, 1] is ZERO
+        assert m == ExactMatrix.from_rows([["2*t", "1/2", "0"], ["1/2", "2*t", "0"], [0, 0, "-a"]])
 
 
 class TestValidation:

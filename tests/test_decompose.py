@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from permsym import (
@@ -8,13 +11,24 @@ from permsym import (
     build,
     column_space_basis,
     find_symmetries,
+    induced_site_perm,
     is_invariant_subspace,
+    is_symmetry,
+    PolyScalar,
+    param,
     parse,
     projectors_from_involution,
+    sigma_at,
     verify_eigenpair,
 )
 
-from helpers import constant_kernel_basis
+from helpers import (
+    constant_kernel_basis,
+    rand_symmetric,
+    reference_search,
+    reference_similarity,
+    small_entry_pool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +197,135 @@ class TestEigenpairs:
         kernel = constant_kernel_basis(shifted)
         assert len(kernel) == 1
         assert verify_eigenpair(fermi_equal, parse("2*k-2*t"), kernel[0])
+
+
+def involution_split(p):
+    pair = projectors_from_involution(p)
+    return column_space_basis(pair.pi1), column_space_basis(pair.pi2)
+
+
+def rand_symmetric_with_involution(rng, n):
+    """H + P H P^T for a random symmetric H and a random involution P, so that
+    the reference search usually has a non-trivial involution to find."""
+    h = rand_symmetric(rng, n, small_entry_pool())
+    order = list(range(n))
+    rng.shuffle(order)
+    image = list(range(n))
+    for a, b in zip(order[0::2], order[1::2]):
+        if rng.random() < 0.7:
+            image[a], image[b] = b, a
+    return ExactMatrix(n, n, [
+        h[u, v] + h[image[u], image[v]] for u in range(n) for v in range(n)
+    ])
+
+
+def random_full_basis(rng, n):
+    """n random independent integer vectors with entries in -1..1."""
+    while True:
+        vectors = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n)]
+        try:
+            SubspaceBasis(vectors)
+        except ValueError:
+            continue
+        return vectors
+
+
+class TestBlockFormOracle:
+    def test_matches_fraction_similarity_for_every_involution(self):
+        rng = random.Random(1208)
+        checked = 0
+        for _ in range(60):
+            h = rand_symmetric_with_involution(rng, rng.randint(2, 5))
+            found, _ = reference_search(h)
+            for image in found:
+                p = Perm(image)
+                if p.order() != 2:
+                    continue
+                b1, b2 = involution_split(p)
+                blocks = block_form(h, b1, b2)
+                assert blocks == reference_similarity(h, list(b1) + list(b2))
+                checked += 1
+        assert checked >= 40
+
+    def test_raises_exactly_when_a_split_is_not_invariant(self):
+        rng = random.Random(4721)
+        outcomes = {True: 0, False: 0}
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            h = rand_symmetric_with_involution(rng, n)
+            involutions = [p for p in map(Perm, reference_search(h)[0]) if p.order() == 2]
+            if involutions and rng.random() < 0.5:
+                b1, b2 = involution_split(rng.choice(involutions))
+                vectors = list(b1) + list(b2)
+                rng.shuffle(vectors)
+            else:
+                vectors = random_full_basis(rng, n)
+            k = rng.randint(0, n)
+            b1, b2 = SubspaceBasis(vectors[:k]), SubspaceBasis(vectors[k:])
+            invariant = is_invariant_subspace(h, b1) and is_invariant_subspace(h, b2)
+            outcomes[invariant] += 1
+            if invariant:
+                assert block_form(h, b1, b2) == reference_similarity(h, vectors)
+            else:
+                with pytest.raises(ValueError, match="not invariant"):
+                    block_form(h, b1, b2)
+        assert min(outcomes.values()) >= 5
+
+    def test_rejects_dependent_full_count(self, hubbard):
+        b1 = SubspaceBasis([(1, 0, 0, 1), (0, 1, 1, 0)])
+        b2 = SubspaceBasis([(1, 1, 1, 1), (0, 0, 1, 0)])
+        with pytest.raises(ValueError, match="linearly dependent"):
+            block_form(hubbard, b1, b2)
+
+
+def ising_chain(L):
+    """The cyclic L-site transverse Ising chain, built as the catalog's ising4."""
+    z = [sigma_at(3, j, L) for j in range(1, L + 1)]
+    x = [sigma_at(1, j, L) for j in range(1, L + 1)]
+    coupling = ExactMatrix.zeros(1 << L)
+    field = ExactMatrix.zeros(1 << L)
+    for j in range(L):
+        coupling = coupling + z[j] @ z[(j + 1) % L]
+        field = field + x[j]
+    return coupling * param("a") + field * param("b")
+
+
+def closed_form_bases(p):
+    """e_a + e_b and e_a - e_b for each 2-cycle a < b, and e_a for each fixed point."""
+    n = len(p)
+    plus, minus = [], []
+    for a in range(n):
+        b = p(a)
+        if b < a:
+            continue
+        v = [0] * n
+        v[a] = v[b] = 1
+        plus.append(tuple(v))
+        if b != a:
+            v[b] = -1
+            minus.append(tuple(v))
+    return SubspaceBasis(plus), SubspaceBasis(minus)
+
+
+class TestIsing6ClosedForm:
+    def test_basis_is_closed_form(self):
+        h = ising_chain(6)
+        flip = Perm([63 - u for u in range(64)])
+        reflection = induced_site_perm(Perm([(1 - k) % 6 for k in range(6)]))
+        for p in (flip, reflection, reflection * flip):
+            assert p.order() == 2 and is_symmetry(h, p)
+            b1, b2 = involution_split(p)
+            assert (b1, b2) == closed_form_bases(p)
+            # the closed-form vectors are orthogonal with |v|^2 = #non-zeros, so
+            # S^-1 = diag(1/|v|^2) S^T and each block entry is v_i . H v_j / |v_i|^2
+            vectors = list(b1) + list(b2)
+            support = [[(u, x) for u, x in enumerate(v) if x] for v in vectors]
+            expected = [
+                sum(
+                    (h[u, w] * Fraction(x * y, len(si)) for u, x in si for w, y in sj if h[u, w]),
+                    PolyScalar(),
+                )
+                for si in support
+                for sj in support
+            ]
+            assert block_form(h, b1, b2) == ExactMatrix(64, 64, expected)

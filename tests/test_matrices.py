@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from permsym import (
     DimensionError,
@@ -14,8 +16,9 @@ from permsym import (
     sigma,
     star2,
 )
+from permsym.scalars import ZERO
 
-from helpers import rand_matrix, rand_scalar
+from helpers import rand_matrix, rand_scalar, reference_kron, reference_matmul
 
 
 @pytest.fixture
@@ -207,3 +210,87 @@ class TestScalarOps:
         h = build("fermi3")
         assert h - h == ExactMatrix.zeros(3)
         assert -h + h == ExactMatrix.zeros(3)
+
+
+# -- zero-skipping kernels against the naive references ----------------------
+
+# Mostly zeros, as in the spin-chain matrices; "t" and "-t" let sums cancel.
+SPARSE_POOL = [ZERO] * 6 + [
+    parse(x) for x in ("0", "1", "-1", "t", "-t", "2*a - 1/3*i", "a*t^2 + 1/2")
+]
+KERNEL_SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+
+def sparse_matrices(rows, cols):
+    """Random sparse matrices of one shape, plus the all-zero and identity ones."""
+    dense = st.lists(
+        st.sampled_from(SPARSE_POOL), min_size=rows * cols, max_size=rows * cols
+    ).map(lambda entries: ExactMatrix(rows, cols, entries))
+    special = [st.just(ExactMatrix.zeros(rows, cols))]
+    if rows == cols:
+        special.append(st.just(ExactMatrix.identity(rows)))
+    return st.one_of(dense, *special)
+
+
+def assert_zeros_shared(m):
+    assert all(x is ZERO for x in m.entries() if not x)
+
+
+dims = st.integers(min_value=1, max_value=4)
+
+
+class TestKernelOracles:
+    @seed(1208)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_matmul(self, data):
+        n, k, m = data.draw(dims), data.draw(dims), data.draw(dims)
+        a = data.draw(sparse_matrices(n, k))
+        b = data.draw(sparse_matrices(k, m))
+        product = a @ b
+        assert product == reference_matmul(a, b)
+        assert_zeros_shared(product)
+
+    @seed(4721)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_kron(self, data):
+        a = data.draw(sparse_matrices(data.draw(dims), data.draw(dims)))
+        b = data.draw(sparse_matrices(data.draw(dims), data.draw(dims)))
+        product = kron(a, b)
+        assert product == reference_kron(a, b)
+        assert_zeros_shared(product)
+
+    @seed(2012)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_add_sub_neg_scale_transpose(self, data):
+        rows, cols = data.draw(dims), data.draw(dims)
+        a = data.draw(sparse_matrices(rows, cols))
+        b = data.draw(sparse_matrices(rows, cols))
+        s = data.draw(st.sampled_from(SPARSE_POOL))
+        ea, eb = a.entries(), b.entries()
+        results = [
+            (a + b, [x + y for x, y in zip(ea, eb)]),
+            (a - b, [x - y for x, y in zip(ea, eb)]),
+            (-a, [-x for x in ea]),
+            (a * s, [x * s for x in ea]),
+            (s * a, [s * x for x in ea]),
+        ]
+        for got, expected in results:
+            assert got == ExactMatrix(rows, cols, expected)
+            assert_zeros_shared(got)
+        t = a.transpose()
+        assert t.shape == (cols, rows)
+        assert all(t[c, r] is a[r, c] for r in range(rows) for c in range(cols))
+
+    def test_parsed_zeros_become_the_shared_zero(self):
+        m = ExactMatrix.from_rows([["0", "t - t"], [0, "1"]])
+        assert [x is ZERO for x in m.entries()] == [True, True, True, False]
+
+    def test_cancelled_entries_become_the_shared_zero(self):
+        a = ExactMatrix.from_rows([["t", "t"], ["t", "-t"]])
+        b = ExactMatrix.from_rows([["1", "1"], ["-1", "1"]])
+        for m in (a @ b, a + (-a), a - a, kron(a, b) - kron(a, b)):
+            assert_zeros_shared(m)
+        assert (a @ b)[0, 0] is ZERO and (a @ b)[1, 1] is ZERO
