@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 from . import groups
 from .decompose import block_form, column_space_basis, projectors_from_involution
@@ -144,9 +145,13 @@ def _perm_record(p):
 
 def _run_search(matrix, args):
     cfg = _search_config(args)
-    start = time.perf_counter()
-    result = find_symmetries(matrix, cfg, jobs=args.jobs)
-    wall = time.perf_counter() - start
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        result = find_symmetries(matrix, cfg, jobs=args.jobs)
+        wall = time.perf_counter() - start
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     for p in result.perms:
         if not is_symmetry(matrix, p):
             raise AssertionError(f"internal error: emitted non-symmetry {p}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .matrices import DimensionError, ExactMatrix
 from .scalars import ONE, ZERO, PolyScalar, as_scalar, rational
@@ -114,19 +114,19 @@ def _rank(rows):
 
 
 def _primitive(vec):
-    """Scale a rational vector to integers with gcd 1, first nonzero positive."""
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
+    """Scale a rational vector to integers with gcd 1, first nonzero positive.
+
+    Zeros stay 0 and are left out of the lcm, the scaling and the gcd.
+    """
+    nonzero = [(k, x) for k, x in enumerate(vec) if x]
+    denom = lcm(*(x.denominator for _, x in nonzero))
+    scaled = [(k, x.numerator * (denom // x.denominator)) for k, x in nonzero]
+    g = gcd(*(x for _, x in scaled))
+    if scaled and scaled[0][1] < 0:
+        g = -g
+    ints = [0] * len(vec)
+    for k, x in scaled:
+        ints[k] = x // g
     return tuple(ints)
 
 

@@ -21,21 +21,35 @@ class GroupError(ValueError):
 
 
 class SymmetryGroup:
-    """A verified permutation group: ordered elements plus multiplication table.
+    """A verified permutation group: ordered elements plus the generators that
+    proved their closure.
 
-    ``elements[0]`` is the identity; ``table[a][b]`` is the index of
-    ``elements[a] * elements[b]``.
+    ``elements[0]`` is the identity.  ``generators`` are the elements that
+    ``verify_closure``'s scan kept, in element order.  ``table[a][b]`` is the
+    index of ``elements[a] * elements[b]``; it costs |G|^2 products and is
+    built on first access.
     """
 
-    __slots__ = ("elements", "table", "_index")
+    __slots__ = ("elements", "generators", "_index", "_table")
 
-    def __init__(self, elements, table):
+    def __init__(self, elements, generators):
         object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "table", tuple(tuple(row) for row in table))
+        object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "_index", {p: k for k, p in enumerate(self.elements)})
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetryGroup is immutable")
+
+    @property
+    def table(self):
+        if self._table is None:
+            index = self._index
+            table = tuple(
+                tuple(index[p * q] for q in self.elements) for p in self.elements
+            )
+            object.__setattr__(self, "_table", table)
+        return self._table
 
     @property
     def order(self):
@@ -54,8 +68,7 @@ class SymmetryGroup:
         return p in self._index
 
     def inverse_index(self, a):
-        row = self.table[a]
-        return row.index(0)
+        return self._index[self.elements[a].inverse()]
 
 
 def verify_closure(elements):
@@ -63,6 +76,14 @@ def verify_closure(elements):
 
     The input order is preserved (identity moved to the front if needed);
     raises GroupError naming the first witness of a failed axiom.
+
+    The elements are scanned in order and each one the closure so far has not
+    reached becomes a generator.  The closure grows as in Dimino's algorithm:
+    every reached element is multiplied by every generator exactly once, and
+    every product must lie in the set.  That is |G|*r products for r
+    generators.  Reaching all elements proves the set a group: it is then the
+    closure of its generators under composition, which for permutations also
+    holds every inverse.
     """
     elements = list(elements)
     if not elements:
@@ -80,31 +101,38 @@ def verify_closure(elements):
     elements.insert(0, ident)
 
     index = {p: k for k, p in enumerate(elements)}
-    table = []
-    for a, p in enumerate(elements):
-        row = []
-        for b, q in enumerate(elements):
-            prod = p * q
-            k = index.get(prod)
-            if k is None:
-                raise GroupError(
-                    f"not closed: element {a} * element {b} = {prod} is outside the set",
-                    witness=(p, q),
-                )
-            row.append(k)
-        table.append(row)
-    # a finite set closed under composition always contains its inverses,
-    # but keep the explicit check as a guard
-    for p in elements:
-        if p.inverse() not in index:
-            raise GroupError(f"missing inverse of {p}", witness=p)
-    return SymmetryGroup(elements, table)
+    gens = []
+    reached = [ident]
+    seen = {ident}
+    for g in elements:
+        if len(reached) == len(elements):
+            break
+        if g in seen:
+            continue
+        gens.append(g)
+        # reached[:old] is closed under the earlier generators, so its
+        # elements need only the new one; elements reached from here on
+        # need every generator
+        old = len(reached)
+        for k, x in enumerate(reached):
+            for h in gens if k >= old else (g,):
+                prod = x * h
+                if prod not in seen:
+                    if prod not in index:
+                        raise GroupError(
+                            f"not closed: element {index[x]} * element {index[h]} = "
+                            f"{prod} is outside the set",
+                            witness=(x, h),
+                        )
+                    seen.add(prod)
+                    reached.append(prod)
+    return SymmetryGroup(elements, gens)
 
 
 def is_commutative(group):
-    t = group.table
-    m = len(t)
-    return all(t[a][b] == t[b][a] for a in range(m) for b in range(a + 1, m))
+    """True iff the generators commute pairwise."""
+    gens = group.generators
+    return all(p * q == q * p for i, p in enumerate(gens) for q in gens[i + 1:])
 
 
 def element_orders(group):
@@ -118,18 +146,28 @@ def involutions(group):
 
 
 def conjugacy_classes(group):
-    """Partition of element indices under conjugation, classes by least member."""
-    m = group.order
-    t = group.table
-    inv = [group.inverse_index(a) for a in range(m)]
-    unassigned = set(range(m))
+    """Partition of element indices under conjugation, classes by least member.
+
+    Each class is the orbit of its least member under conjugation by the
+    generators, which costs 2*r products per class member.
+    """
+    elements = group.elements
+    gens = [(g.inverse(), g) for g in group.generators]
+    assigned = [False] * len(elements)
     classes = []
-    for g in range(m):
-        if g not in unassigned:
+    for k in range(len(elements)):
+        if assigned[k]:
             continue
-        cls = {t[t[x][g]][inv[x]] for x in range(m)}
-        unassigned -= cls
-        classes.append(tuple(sorted(cls)))
+        assigned[k] = True
+        members = [k]
+        for j in members:
+            y = elements[j]
+            for g_inv, g in gens:
+                i = group.index_of(g_inv * y * g)
+                if not assigned[i]:
+                    assigned[i] = True
+                    members.append(i)
+        classes.append(tuple(sorted(members)))
     return classes
 
 
@@ -162,16 +200,8 @@ def generate_from(generators):
 def generating_set(group):
     """A small (greedy, not necessarily minimal) generating subset.
 
-    Scans elements in order and keeps each one not generated by the
-    elements kept so far; the trivial group yields an empty list.
+    These are the generators ``verify_closure`` kept: scanning elements in
+    order, each one not generated by the elements kept so far; the trivial
+    group yields an empty list.
     """
-    gens = []
-    generated = {group.elements[0]}
-    for p in group.elements[1:]:
-        if p in generated:
-            continue
-        gens.append(p)
-        generated = set(generate_from(gens).elements)
-        if len(generated) == group.order:
-            break
-    return gens
+    return list(group.generators)

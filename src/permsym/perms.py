@@ -48,10 +48,11 @@ class Perm:
         """Apply self first, then other; matches the matrix product order."""
         if not isinstance(other, Perm):
             return NotImplemented
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        img = other.image
-        return Perm(img[j] for j in self.image)
+        a, b = self.image, other.image
+        if len(a) != len(b):
+            raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+        # a composition of two permutations is a permutation: skip the check
+        return _trusted(tuple([b[j] for j in a]))
 
     def inverse(self):
         inv = [0] * len(self.image)
@@ -125,6 +126,18 @@ class Perm:
 
     def __str__(self):
         return ",".join(str(j) for j in self.image)
+
+
+# the slot's own setter, which bypasses the immutability guard in __setattr__
+_set_image = Perm.image.__set__
+
+
+def _trusted(image):
+    """A Perm from an image tuple already known to be a permutation,
+    without the validation in ``Perm.__init__``."""
+    p = object.__new__(Perm)
+    _set_image(p, image)
+    return p
 
 
 def compose(p, q):

@@ -454,6 +454,12 @@ def rational(numerator, denominator=1):
 # 'i' is the imaginary unit and is reserved; division requires a nonzero
 # constant divisor.
 
+# Bound on the nesting of parentheses and unary minus signs in one expression.
+# Every level costs the recursive-descent parser up to five stack frames, so
+# deeper input fails with a ParseError before it can exhaust the interpreter's
+# recursion limit (1000 frames by default).
+MAX_NESTING = 100
+
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _IDENT_CONT = _IDENT_START | set("0123456789_")
 
@@ -493,6 +499,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -507,6 +514,12 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
+
+    def nest(self, pos):
+        """Enter one level of nesting at ``pos``; the caller leaves it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def parse(self):
         value = self.expr()
@@ -540,8 +553,10 @@ class _Parser:
 
     def unary(self):
         if self.peek()[0] == "-":
-            self.next()
-            return -self.unary()
+            self.nest(self.next()[2])
+            value = -self.unary()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self):
@@ -564,8 +579,10 @@ class _Parser:
                 return I
             return PolyScalar.variable(text)
         if kind == "(":
+            self.nest(pos)
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
@@ -574,6 +591,6 @@ def parse(text):
     """Parse an expression into a canonical PolyScalar.
 
     Raises ParseError (with a position) on malformed input, division by a
-    non-constant, or a zero divisor.
+    non-constant, a zero divisor, or nesting deeper than ``MAX_NESTING``.
     """
     return _Parser(text).parse()

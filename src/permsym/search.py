@@ -18,6 +18,7 @@ entry of H), so no polynomial arithmetic happens inside the search loop.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -182,10 +183,13 @@ def find_symmetries(h, cfg=None, jobs=1):
     first whenever the search ran to completion.  Budgets (``node_budget``,
     ``max_results``) stop the search early and are reported through
     ``exhausted=False`` rather than by silent truncation.  ``jobs > 1``
-    partitions the top-level branch across processes; budgeted searches
-    always run serially so that partial results are deterministic.
+    partitions the top-level branch across at most ``os.cpu_count()``
+    processes; budgeted searches always run serially so that partial results
+    are deterministic.
     """
     cfg = cfg or SearchConfig()
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     if not h.is_square():
         raise ValueError("symmetry search needs a square matrix")
     if not h.is_hermitian():
@@ -196,7 +200,8 @@ def find_symmetries(h, cfg=None, jobs=1):
 
     budgeted = cfg.node_budget is not None or cfg.max_results is not None
     if jobs > 1 and not budgeted and n > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+        workers = min(jobs, n, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = dict()
             for v0, part in pool.map(_worker, [(colors, cfg.mode, v0) for v0 in range(n)]):
                 parts[v0] = part

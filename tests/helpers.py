@@ -3,13 +3,14 @@
 Oracles here deliberately avoid the code paths they check: the nested-loop
 reference search uses matrix commutation instead of the color-table engine,
 subspace questions are answered by generic rational elimination, and group
-facts are recomputed by brute force over all pairs.
+facts are recomputed by brute force over all pairs or from the full
+multiplication table.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from permsym import ExactMatrix, GaussRational, Perm, PolyScalar, parse
+from permsym import ExactMatrix, GaussRational, GroupError, Perm, PolyScalar, parse
 from permsym.scalars import Monomial
 
 
@@ -244,6 +245,91 @@ def closure_bruteforce(perms):
         if nxt == current:
             return current
         current = nxt
+
+
+# -- table-based group oracles: every one of the |G|^2 products -------------
+
+
+def table_closure(perms):
+    """The group axioms checked on the full multiplication table.
+
+    Returns ``(elements, table)``: the input order with the identity moved to
+    the front, and ``table[a][b]``, the index of ``elements[a] * elements[b]``.
+    Raises GroupError with the first row-major product outside the set.
+    """
+    elements = list(perms)
+    if not elements:
+        raise GroupError("empty set has no identity")
+    n = len(elements[0])
+    if any(len(p) != n for p in elements):
+        raise GroupError("elements act on different index sets")
+    if len(set(elements)) != len(elements):
+        raise GroupError("duplicate elements")
+    ident = Perm.identity(n)
+    if ident not in set(elements):
+        raise GroupError("missing identity", witness=ident)
+    elements.remove(ident)
+    elements.insert(0, ident)
+    index = {p: k for k, p in enumerate(elements)}
+    table = []
+    for a, p in enumerate(elements):
+        row = []
+        for b, q in enumerate(elements):
+            prod = p * q
+            k = index.get(prod)
+            if k is None:
+                raise GroupError(
+                    f"not closed: element {a} * element {b} = {prod} is outside the set",
+                    witness=(p, q),
+                )
+            row.append(k)
+        table.append(row)
+    for p in elements:
+        if p.inverse() not in index:
+            raise GroupError(f"missing inverse of {p}", witness=p)
+    return elements, table
+
+
+def table_generating_set(table):
+    """Indices kept by the greedy scan: each element, in order, that the
+    ones kept so far do not generate; closures are searched on the table."""
+    gens = []
+    generated = {0}
+    for a in range(1, len(table)):
+        if a in generated:
+            continue
+        gens.append(a)
+        generated = {0}
+        queue = [0]
+        for x in queue:
+            for g in gens:
+                y = table[x][g]
+                if y not in generated:
+                    generated.add(y)
+                    queue.append(y)
+        if len(generated) == len(table):
+            break
+    return gens
+
+
+def table_is_commutative(table):
+    m = len(table)
+    return all(table[a][b] == table[b][a] for a in range(m) for b in range(a + 1, m))
+
+
+def table_conjugacy_classes(table):
+    """Classes of element indices, each the set of x g x^-1 over all x."""
+    m = len(table)
+    inv = [row.index(0) for row in table]
+    unassigned = set(range(m))
+    classes = []
+    for g in range(m):
+        if g not in unassigned:
+            continue
+        cls = {table[table[x][g]][inv[x]] for x in range(m)}
+        unassigned -= cls
+        classes.append(tuple(sorted(cls)))
+    return classes
 
 
 # -- independent term-merge addition oracle ---------------------------------

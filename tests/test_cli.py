@@ -1,8 +1,9 @@
 import json
 
+import permsym.search
 from permsym import ExactMatrix, Perm, build, find_symmetries
 from permsym.cli import main, read_matrix_file
-from permsym.scalars import ZERO
+from permsym.scalars import MAX_NESTING, ZERO
 
 from helpers import ISING4_ROWS
 
@@ -111,6 +112,16 @@ class TestGroup:
         assert code == 0
         assert "group order: 4" in out
         assert "commutative: yes" in out
+
+    def test_k7_full_symmetric_group(self, capsys, tmp_path):
+        # 5040 elements: a |G|^2 group layer would take minutes here
+        n = 7
+        rows = [" ".join("d" if r == c else "1" for c in range(n)) for r in range(n)]
+        path = tmp_path / "k7.txt"
+        path.write_text(f"{n} {n}\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        g = json_report(capsys, "group", "--input", str(path))["group"]
+        assert g["order"] == 5040
+        assert len(g["conjugacy_classes"]) == 15
 
     def test_budget_refuses_partial_group(self, capsys):
         code, out, err = run_cli(
@@ -224,6 +235,23 @@ class TestMatrixFiles:
         assert code == 2
         assert err == f"error: {path}:3: 't$': unexpected character '$' (at position 1)\n"
 
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        for entry in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"):
+            path = self.write(tmp_path, f"1 1\n{entry}\n")
+            code, out, err = run_cli(capsys, "find", "--input", path)
+            assert code == 2
+            assert err.endswith(
+                f": nesting deeper than {MAX_NESTING} levels (at position {MAX_NESTING})\n"
+            )
+            assert err.count("\n") == 1 and out == ""
+
+    def test_non_hermitian_warning_is_one_line(self, capsys, tmp_path):
+        path = self.write(tmp_path, "2 2\n0 1\n2 0\n")
+        code, out, err = run_cli(capsys, "find", "--input", path, "--format", "json")
+        assert code == 0
+        assert err == "warning: input matrix is not hermitian\n"
+        assert json.loads(out)["search"]["count"] == 1
+
     def test_equal_tokens_share_one_scalar(self, tmp_path):
         path = self.write(tmp_path, "3 3\n2*t 1/2 0\n1/2 2*t 0\n0 0 -a\n")
         m = read_matrix_file(path)
@@ -268,3 +296,35 @@ class TestValidation:
     def test_no_input(self, capsys):
         code, out, err = run_cli(capsys, "find")
         assert code == 3
+
+    def test_jobs_must_be_positive(self, capsys):
+        for jobs in ("0", "-3"):
+            code, out, err = run_cli(capsys, "find", "--model", "hubbard2", "--jobs", jobs)
+            assert code == 3
+            assert err == "error: jobs must be positive\n"
+            assert out == ""
+
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
+        # the pool is a stand-in that runs the work in this process, so no
+        # worker is started whatever max_workers it is given
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(permsym.search, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(permsym.search.os, "cpu_count", lambda: 3)
+        serial = json_report(capsys, "find", "--model", "ising4")
+        pooled = json_report(capsys, "find", "--model", "ising4", "--jobs", "64")
+        assert requested == [3]
+        assert pooled["symmetries"] == serial["symmetries"]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from permsym import (
     GroupError,
@@ -15,7 +17,15 @@ from permsym import (
     verify_closure,
 )
 
-from helpers import SITE_MAPS, closure_bruteforce, conjugacy_classes_bruteforce
+from helpers import (
+    SITE_MAPS,
+    closure_bruteforce,
+    conjugacy_classes_bruteforce,
+    table_closure,
+    table_conjugacy_classes,
+    table_generating_set,
+    table_is_commutative,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +187,41 @@ class TestGeneratingSet:
             else:
                 assert list(regenerated.elements) == sorted(g.elements)
                 assert regenerated.order == g.order
+
+
+@st.composite
+def shuffled_groups(draw):
+    """The group of 1-3 random permutations of degree 2-6, in random order."""
+    degree = draw(st.integers(2, 6))
+    gens = draw(st.lists(st.permutations(range(degree)).map(Perm), min_size=1, max_size=3))
+    return draw(st.permutations(generate_from(gens).elements))
+
+
+class TestAgainstTableOracle:
+    @seed(6)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.data())
+    def test_group_layer_matches_oracle(self, data):
+        perms = data.draw(shuffled_groups())
+        elements, table = table_closure(perms)
+        group = verify_closure(perms)
+        assert list(group.elements) == elements
+        assert generating_set(group) == [elements[k] for k in table_generating_set(table)]
+        assert is_commutative(group) == table_is_commutative(table)
+        assert conjugacy_classes(group) == table_conjugacy_classes(table)
+        assert [list(row) for row in group.table] == table
+
+        # a few members plus the identity: usually not closed
+        subset = data.draw(st.lists(st.sampled_from(perms), max_size=8, unique=True))
+        subset.append(Perm.identity(len(perms[0])))
+        subset = list(dict.fromkeys(subset))
+        members = set(subset)
+        closed = all(x * g in members for x in subset for g in subset)
+        if closed:
+            assert set(verify_closure(subset).elements) == members
+        else:
+            with pytest.raises(GroupError, match="not closed") as info:
+                verify_closure(subset)
+            x, g = info.value.witness
+            assert x in members and g in members
+            assert x * g not in members

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from permsym import GaussRational, ParseError, PolyScalar, param, parse, rational
-from permsym.scalars import Monomial
+from permsym.scalars import MAX_NESTING, Monomial
 
 from helpers import oracle_add, rand_scalar
 
@@ -177,6 +177,17 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse("(t+1")
         assert info.value.position == 4
+
+    def test_nesting_bound(self):
+        for depth in (MAX_NESTING, MAX_NESTING + 1):
+            for text in ("(" * depth + "t" + ")" * depth, "-" * depth + "t",
+                         "-(" * (depth // 2) + "-" * (depth % 2) + "t" + ")" * (depth // 2)):
+                if depth <= MAX_NESTING:
+                    assert parse(text) == (-param("t") if text.count("-") % 2 else param("t"))
+                    continue
+                with pytest.raises(ParseError, match="nesting deeper") as info:
+                    parse(text)
+                assert info.value.position == MAX_NESTING
 
     def test_bad_exponent(self):
         with pytest.raises(ParseError):
