@@ -25,7 +25,7 @@ from . import groups
 from .decompose import block_form, column_space_basis, projectors_from_involution
 from .matrices import ExactMatrix
 from .models import CATALOG, ModelError, build, list_models
-from .perms import Perm
+from .perms import Perm, cycles_order, format_cycles
 from .scalars import ParseError, parse
 from .search import (
     MODE_LEAF_CHECK,
@@ -140,7 +140,8 @@ def _search_config(args):
 
 
 def _perm_record(p):
-    return {"image": list(p.image), "cycles": p.cycle_string(), "order": p.order()}
+    cycles = p.cycles()
+    return {"image": list(p.image), "cycles": format_cycles(cycles), "order": cycles_order(cycles)}
 
 
 def _run_search(matrix, args):
@@ -281,16 +282,19 @@ def cmd_group(args):
         return EXIT_BUDGET
     group = groups.verify_closure(result.perms)
     gens = groups.generating_set(group)
+    # each element's cycles are walked once, for its record; the element
+    # orders and the involution count are read off the records
+    records = [_perm_record(p) for p in group.elements]
     report = {
         "command": "group",
         "input": info,
         "search": search_info,
-        "symmetries": [_perm_record(p) for p in group.elements],
+        "symmetries": records,
         "group": {
             "order": group.order,
             "commutative": groups.is_commutative(group),
-            "element_orders": [list(pair) for pair in groups.element_orders(group)],
-            "involution_count": len(groups.involutions(group)),
+            "element_orders": [[k, rec["order"]] for k, rec in enumerate(records)],
+            "involution_count": sum(rec["order"] == 2 for rec in records),
             "conjugacy_classes": [list(c) for c in groups.conjugacy_classes(group)],
             "generators": [list(p.image) for p in gens],
         },

@@ -65,7 +65,7 @@ class Perm:
 
     def order(self):
         """Least m >= 1 with p^m = identity (lcm of cycle lengths)."""
-        return lcm(*(len(c) for c in self.cycles())) if self.image else 1
+        return cycles_order(self.cycles())
 
     def cycles(self):
         """All cycles, fixed points included, each starting at its least element."""
@@ -85,7 +85,7 @@ class Perm:
         return out
 
     def cycle_string(self):
-        return "".join("(" + " ".join(str(v) for v in c) + ")" for c in self.cycles())
+        return format_cycles(self.cycles())
 
     def to_matrix(self):
         """The 0/1 matrix with a 1 at (u, image[u]) for every u."""
@@ -138,6 +138,16 @@ def _trusted(image):
     p = object.__new__(Perm)
     _set_image(p, image)
     return p
+
+
+def cycles_order(cycles):
+    """The order of the permutation with these cycles: lcm of their lengths."""
+    return lcm(*(len(c) for c in cycles))
+
+
+def format_cycles(cycles):
+    """Cycles in the text form ``(0 3)(1 2)`` that ``Perm.cycle_string`` uses."""
+    return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
 
 
 def compose(p, q):

@@ -10,6 +10,7 @@ on coefficients only.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 
 class ParseError(ValueError):
@@ -327,8 +328,9 @@ class PolyScalar:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -460,6 +462,31 @@ def rational(numerator, denominator=1):
 # recursion limit (1000 frames by default).
 MAX_NESTING = 100
 
+# Bound on the size of one power x^k, checked before it is computed.  The
+# bound is taken on an upper estimate of the expanded result: the number of
+# ways to pick k of the t terms of x with repetition, C(t+k-1, k), times k
+# times the largest term of x, where a term's size is its degree plus the
+# bit lengths of its coefficient's numerators and denominators.  So 2^k is
+# allowed up to k = 2,500 and (t+1)^k up to k = 49, while (t+1)^999999999
+# and nested powers such as ((t+1)^40)^40 are a ParseError.
+MAX_POWER_SIZE = 10_000
+
+
+def _term_size(mono, coeff):
+    return mono.degree + sum(
+        q.numerator.bit_length() + q.denominator.bit_length() for q in (coeff.re, coeff.im)
+    )
+
+
+def _power_size(value, k):
+    """The estimate of the size of ``value ** k`` that MAX_POWER_SIZE bounds."""
+    terms = value.terms()
+    size = k * max((_term_size(m, c) for m, c in terms), default=0)
+    if size > MAX_POWER_SIZE:
+        return size
+    return comb(len(terms) + k - 1, k) * size
+
+
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _IDENT_CONT = _IDENT_START | set("0123456789_")
 
@@ -564,16 +591,19 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             tok = self.next()
-            if tok[0] != "int" or int(tok[1]) < 1:
+            k = _int(tok) if tok[0] == "int" else 0
+            if k < 1:
                 raise ParseError("exponent must be a positive integer", tok[2])
-            value = value ** int(tok[1])
+            if _power_size(value, k) > MAX_POWER_SIZE:
+                raise ParseError(f"power larger than MAX_POWER_SIZE = {MAX_POWER_SIZE}", tok[2])
+            value = value ** k
         return value
 
     def atom(self):
         tok = self.next()
         kind, text, pos = tok
         if kind == "int":
-            return PolyScalar.constant(int(text))
+            return PolyScalar.constant(_int(tok))
         if kind == "ident":
             if text == "i":
                 return I
@@ -587,10 +617,18 @@ class _Parser:
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
 
+def _int(tok):
+    try:
+        return int(tok[1])
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError("integer literal too long", tok[2]) from None
+
+
 def parse(text):
     """Parse an expression into a canonical PolyScalar.
 
     Raises ParseError (with a position) on malformed input, division by a
-    non-constant, a zero divisor, or nesting deeper than ``MAX_NESTING``.
+    non-constant, a zero divisor, nesting deeper than ``MAX_NESTING``, or a
+    power larger than ``MAX_POWER_SIZE``.
     """
     return _Parser(text).parse()

@@ -1,16 +1,43 @@
 """Backtracking enumeration of all permutation matrices P with P^T H P = H.
 
-Two modes share one engine:
+Two modes return the same set, in the same lexicographic order:
 
-* ``leaf-check`` realizes the classic nested-loop search: partial assignments
-  are only tested for duplicate indices, and the full symmetry predicate runs
-  at complete permutations.
-* ``pruned`` additionally rejects a partial assignment ``pi(i) = j_i`` unless
+* ``leaf-check`` realizes the classic nested-loop search: every unused index
+  is tried at every level, and the full symmetry predicate runs at complete
+  permutations.
+* ``pruned`` rejects a partial assignment ``pi(i) = j_i`` unless
   ``H[j_k, j_i] == H[k, i]`` and ``H[j_i, j_k] == H[i, k]`` for all ``k <= i``
   (diagonal included).  Any violated pair stays violated in every completion,
   so pruning never loses a symmetry; conversely a complete assignment that
   passed every partial check satisfies the full predicate, so no leaf test is
-  needed.  Both modes return the same set, in the same lexicographic order.
+  needed.
+
+``pruned`` draws each level's candidates from ascending lists computed once
+per matrix, not from all n indices:
+
+* Root refinement.  H is an edge-coloured complete digraph and its symmetries
+  are that graph's automorphisms.  The stable colour refinement of its indices
+  (Weisfeiler & Leman 1968; McKay & Piperno 2014) starts from the diagonal
+  colours and splits each cell by the multiset of (out-colour, in-colour, cell
+  of v) over each member's row, until the number of cells stops growing.
+  Every symmetry maps each index into its own cell.
+* Anchored candidates.  Each row is indexed by (colour, cell) -> ascending v.
+  Level ``i`` has a static anchor: the earliest ``k < i`` whose class
+  ``(H[k, i], cell of i)`` is smallest, if one is smaller than the cell of
+  ``i``.  The level then draws from that class of row ``j_k``; any other ``v``
+  fails the pairwise test against ``k``.  A level without an anchor draws from
+  the members of its cell.  Because the partition is stable, the size of a
+  row's classes depends only on the row's cell, so the anchor is fixed before
+  the search starts.
+
+Every drawn candidate still passes the full pairwise test against all
+``k < i``.  The lists only skip candidates that the test or the cells would
+reject, so the search emits the same permutations in the same order.
+
+``nodes_visited`` counts candidates tried.  In ``leaf-check`` that is every
+index tried at every level; in ``pruned`` it is every candidate drawn from the
+filtered lists, each counted once.  A node budget stops the search after that
+many candidates, so a budgeted run returns a prefix of the full list.
 
 The engine works on a small integer "color" table (one id per distinct
 entry of H), so no polynomial arithmetic happens inside the search loop.
@@ -20,6 +47,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -78,31 +106,169 @@ def is_symmetry(h, p):
 
 def _color_table(h):
     ids = {}
-    colors = []
     n = h.rows
-    e = h.entries()
-    for u in range(n):
-        row = []
-        for v in range(n):
-            x = e[u * n + v]
-            c = ids.get(x)
-            if c is None:
-                c = len(ids)
-                ids[x] = c
-            row.append(c)
-        colors.append(tuple(row))
-    return tuple(colors)
+    flat = [ids.setdefault(x, len(ids)) for x in h.entries()]
+    return tuple(tuple(flat[u * n:(u + 1) * n]) for u in range(n))
 
 
-def _search_colors(colors, mode, fixed_j0, max_results, node_budget, collect):
-    """Run the nested-loop search over an integer color matrix.
+def _refine(colors, cols):
+    """Stable colour refinement of the indices: ``cell[u]`` for every ``u``.
 
-    ``fixed_j0`` restricts the top-level loop to a single value (used for
-    parallel partitioning).  Returns (perms, count, nodes, exhausted) where
-    perms is a list of image tuples in visit (= lexicographic) order.
+    The first partition is by diagonal colour.  Each round splits a cell by
+    the multiset of (out-colour, in-colour, cell of v) over the row of each
+    member, until the number of cells stops growing or every cell is a single
+    index.  Every symmetry maps each index into its own cell.
     """
     n = len(colors)
-    pruned = mode == MODE_PRUNED
+    cell = [row[u] for u, row in enumerate(colors)]
+    count = len(set(cell))
+    while count < n:
+        sigs = {}
+        cell = [
+            sigs.setdefault(
+                (cell[u], frozenset(Counter(zip(colors[u], cols[u], cell)).items())),
+                len(sigs),
+            )
+            for u in range(n)
+        ]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    return cell
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What the pruned search precomputes once per matrix.
+
+    ``levels[i]`` is ``None`` when level ``i`` draws from ``cells[i]``, the
+    ascending members of its cell, and ``(anchor, key)`` when it draws from
+    ``index[j[anchor]][key]``: the ascending ``v`` with
+    ``colors[j[anchor]][v], cell[v] == key``.
+    """
+
+    cols: tuple
+    cells: tuple
+    levels: tuple
+    index: tuple
+
+
+def _plan(colors):
+    n = len(colors)
+    cols = tuple(zip(*colors))
+    cell = _refine(colors, cols)
+    members = {}
+    for v, c in enumerate(cell):
+        members.setdefault(c, []).append(v)
+    members = {c: tuple(vs) for c, vs in members.items()}
+    # a row's class sizes depend only on its cell, because the partition is
+    # stable: count them, once per cell, in the first member's row
+    sizes = {}
+
+    def class_size(ck, c, ci):
+        if ck not in sizes:
+            sizes[ck] = Counter(zip(colors[members[ck][0]], cell))
+        return sizes[ck][c, ci]
+
+    levels = []
+    wanted = {}
+    for i in range(n):
+        ci = cell[i]
+        level = None
+        if len(members[ci]) > 1:
+            # the anchor is the earliest k < i whose class is smallest;
+            # ``first`` maps each (cell of k, H[k, i]) to its earliest k
+            col = cols[i]
+            first = {(cell[k], col[k]): k for k in range(i - 1, -1, -1)}
+            size, k = min(
+                ((class_size(ck, c, ci), k) for (ck, c), k in first.items()),
+                default=(n, None),
+            )
+            if size < len(members[ci]):
+                level = (k, (col[k], ci))
+                wanted.setdefault(cell[k], set()).add(level[1])
+        levels.append(level)
+    index = [None] * n
+    for c, keys in wanted.items():
+        for u in members[c]:
+            row = colors[u]
+            index[u] = {
+                key: tuple(v for v in members[key[1]] if row[v] == key[0]) for key in keys
+            }
+    return _Plan(
+        cols=cols,
+        cells=tuple(members[c] for c in cell),
+        levels=tuple(levels),
+        index=tuple(index),
+    )
+
+
+def _search_pruned(colors, plan, roots, max_results, node_budget, collect):
+    """The pruned search over the candidate lists of ``plan``.
+
+    Level 0 draws from ``roots``.  Returns (perms, count, nodes, exhausted)
+    as ``_search_leaf`` does.
+    """
+    n = len(colors)
+    last = n - 1
+    cols, cells, levels, index = plan.cols, plan.cells, plan.levels, plan.index
+    # H[i, k] and H[k, i] for k < i, which H[v, j_k] and H[j_k, v] must match
+    rows_in = [colors[i][:i] for i in range(n)]
+    cols_in = [cols[i][:i] for i in range(n)]
+    j = [-1] * n
+    used = [False] * n
+    its = [None] * n
+    its[0] = iter(roots)
+    nodes = 0
+    count = 0
+    found = []
+    i = 0
+    while i >= 0:
+        ri, ci = rows_in[i], cols_in[i]
+        for v in its[i]:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return found, count, nodes - 1, False
+            if used[v]:
+                continue
+            # v shares the cell of i, so H[v, v] == H[i, i] already holds
+            rv, cv = colors[v], cols[v]
+            for jk, a, b in zip(j, ri, ci):
+                if rv[jk] != a or cv[jk] != b:
+                    break
+            else:
+                j[i] = v
+                if i == last:
+                    count += 1
+                    if collect:
+                        found.append(tuple(j))
+                    if max_results is not None and count >= max_results:
+                        return found, count, nodes, False
+                    continue
+                used[v] = True
+                i += 1
+                level = levels[i]
+                its[i] = iter(
+                    cells[i] if level is None else index[j[level[0]]][level[1]]
+                )
+                break
+        else:
+            i -= 1
+            if i >= 0:
+                used[j[i]] = False
+    return found, count, nodes, True
+
+
+def _search_leaf(colors, fixed_j0, max_results, node_budget, collect):
+    """Run the paper's nested-loop search over an integer color matrix.
+
+    Every unused index is tried at every level, and the full predicate is
+    tested at complete permutations.  ``fixed_j0`` restricts the top-level
+    loop to a single value (used for parallel partitioning).  Returns
+    (perms, count, nodes, exhausted) where perms is a list of image tuples in
+    visit (= lexicographic) order.
+    """
+    n = len(colors)
     j = [-1] * n
     used = [False] * n
     marked = [False] * n
@@ -124,19 +290,7 @@ def _search_colors(colors, mode, fixed_j0, max_results, node_budget, collect):
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return found, count, nodes - 1, False
-            ok = not used[v]
-            if ok and pruned:
-                ci = colors[i]
-                cv = colors[v]
-                if cv[v] != ci[i]:
-                    ok = False
-                else:
-                    for k in range(i):
-                        jk = j[k]
-                        if colors[jk][v] != colors[k][i] or cv[jk] != ci[k]:
-                            ok = False
-                            break
-            if ok:
+            if not used[v]:
                 advanced = True
                 break
             v += 1
@@ -146,7 +300,7 @@ def _search_colors(colors, mode, fixed_j0, max_results, node_budget, collect):
             continue
         j[i] = v
         if i == n - 1:
-            if pruned or _leaf_ok(colors, j):
+            if _leaf_ok(colors, j):
                 count += 1
                 if collect:
                     found.append(tuple(j))
@@ -172,8 +326,10 @@ def _leaf_ok(colors, j):
 
 
 def _worker(args):
-    colors, mode, v0 = args
-    return v0, _search_colors(colors, mode, v0, None, None, True)
+    colors, plan, roots, collect = args
+    if plan is None:
+        return [_search_leaf(colors, v0, None, None, collect) for v0 in roots]
+    return [_search_pruned(colors, plan, roots, None, None, collect)]
 
 
 def find_symmetries(h, cfg=None, jobs=1):
@@ -183,9 +339,10 @@ def find_symmetries(h, cfg=None, jobs=1):
     first whenever the search ran to completion.  Budgets (``node_budget``,
     ``max_results``) stop the search early and are reported through
     ``exhausted=False`` rather than by silent truncation.  ``jobs > 1``
-    partitions the top-level branch across at most ``os.cpu_count()``
-    processes; budgeted searches always run serially so that partial results
-    are deterministic.
+    partitions the level-0 candidates (in ``pruned`` mode, the cell of
+    index 0) across at most ``os.cpu_count()`` processes; node counts and
+    output are those of the serial run.  Budgeted searches always run
+    serially so that partial results are deterministic.
     """
     cfg = cfg or SearchConfig()
     if jobs < 1:
@@ -197,27 +354,30 @@ def find_symmetries(h, cfg=None, jobs=1):
     colors = _color_table(h)
     n = h.rows
     collect = not cfg.count_only
+    plan = _plan(colors) if cfg.mode == MODE_PRUNED else None
+    roots = range(n) if plan is None else plan.cells[0]
 
     budgeted = cfg.node_budget is not None or cfg.max_results is not None
-    if jobs > 1 and not budgeted and n > 1:
+    if jobs > 1 and not budgeted and len(roots) > 1:
         workers = min(jobs, n, os.cpu_count() or 1)
+        # one task per worker, each an interleaved share of the roots
+        tasks = [
+            (colors, plan, roots[w::workers], collect)
+            for w in range(min(workers, len(roots)))
+        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = dict()
-            for v0, part in pool.map(_worker, [(colors, cfg.mode, v0) for v0 in range(n)]):
-                parts[v0] = part
-        found = []
-        nodes = 0
-        for v0 in range(n):
-            sub_found, _, sub_nodes, _ = parts[v0]
-            found.extend(sub_found)
-            nodes += sub_nodes
-        count = len(found)
+            parts = [part for chunk in pool.map(_worker, tasks) for part in chunk]
+        found = [img for part in parts for img in part[0]]
+        count = sum(part[1] for part in parts)
+        nodes = sum(part[2] for part in parts)
         exhausted = True
-        if cfg.count_only:
-            found = []
+    elif plan is None:
+        found, count, nodes, exhausted = _search_leaf(
+            colors, None, cfg.max_results, cfg.node_budget, collect
+        )
     else:
-        found, count, nodes, exhausted = _search_colors(
-            colors, cfg.mode, None, cfg.max_results, cfg.node_budget, collect
+        found, count, nodes, exhausted = _search_pruned(
+            colors, plan, roots, cfg.max_results, cfg.node_budget, collect
         )
 
     perms = tuple(Perm(img) for img in sorted(found))

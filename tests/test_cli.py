@@ -1,9 +1,10 @@
 import json
+import time
 
 import permsym.search
 from permsym import ExactMatrix, Perm, build, find_symmetries
 from permsym.cli import main, read_matrix_file
-from permsym.scalars import MAX_NESTING, ZERO
+from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, ZERO
 
 from helpers import ISING4_ROWS
 
@@ -242,6 +243,19 @@ class TestMatrixFiles:
             assert code == 2
             assert err.endswith(
                 f": nesting deeper than {MAX_NESTING} levels (at position {MAX_NESTING})\n"
+            )
+            assert err.count("\n") == 1 and out == ""
+
+    def test_huge_power_is_a_parse_error(self, capsys, tmp_path):
+        for entry, position in (("(t+1)^999999999", 6), ("2^999999999", 2),
+                                ("((t+1)^40)^40", 11)):
+            path = self.write(tmp_path, f"1 1\n{entry}\n")
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "find", "--input", path)
+            assert time.perf_counter() - start < 2
+            assert code == 2
+            assert err.endswith(
+                f": power larger than MAX_POWER_SIZE = {MAX_POWER_SIZE} (at position {position})\n"
             )
             assert err.count("\n") == 1 and out == ""
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from permsym import GaussRational, ParseError, PolyScalar, param, parse, rational
-from permsym.scalars import MAX_NESTING, Monomial
+from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, Monomial
 
 from helpers import oracle_add, rand_scalar
 
@@ -188,6 +188,38 @@ class TestParse:
                 with pytest.raises(ParseError, match="nesting deeper") as info:
                     parse(text)
                 assert info.value.position == MAX_NESTING
+
+    def test_power_bound(self):
+        # the largest powers of 2 and of t+1 under the bound, and one past it
+        assert parse("2^2500") == rational(2 ** 2500)
+        assert parse("(t+1)^49") == (param("t") + 1) ** 49
+        for text, position in (("2^2501", 2), ("(t+1)^50", 6), ("(t+1)^999999999", 6),
+                               ("2^999999999", 2), ("((t+1)^40)^40", 11),
+                               ("((2^50)^50)^50", 12), ("(a+b+c+d+e+f+g+h)^5", 18)):
+            with pytest.raises(ParseError, match=f"MAX_POWER_SIZE = {MAX_POWER_SIZE}") as info:
+                parse(text)
+            assert info.value.position == position
+
+    def test_power_skips_the_unused_last_square(self, monkeypatch):
+        # x^4 needs the squares x^2 and x^4 only; squaring x^4 once more
+        # multiplied 330 terms by 330 for a result that was dropped
+        x = parse("a+b+c+d+e+f+g+h")
+        expected = x * x * x * x
+        sizes = []
+        mul = PolyScalar.__mul__
+
+        def recording_mul(a, b):
+            sizes.append((len(a.terms()), len(b.terms())))
+            return mul(a, b)
+
+        monkeypatch.setattr(PolyScalar, "__mul__", recording_mul)
+        assert x ** 4 == expected
+        assert sizes == [(8, 8), (36, 36), (1, 330)]
+
+    def test_integer_literal_too_long(self):
+        for text in ("9" * 5000, "t^" + "9" * 5000):
+            with pytest.raises(ParseError, match="integer literal too long"):
+                parse(text)
 
     def test_bad_exponent(self):
         with pytest.raises(ParseError):

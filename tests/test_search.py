@@ -1,6 +1,9 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from permsym import (
     ExactMatrix,
@@ -15,6 +18,8 @@ from permsym import (
 from permsym.search import MODE_LEAF_CHECK, MODE_PRUNED
 
 from helpers import rand_symmetric, reference_search, small_entry_pool
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 
 @pytest.fixture
@@ -229,3 +234,107 @@ class TestResultShape:
         assert count_symmetries(tied) == 2
         scalar = build("fermi3", {"k1": "k", "k2": "k", "k3": "k", "t": 0})
         assert count_symmetries(scalar) == 6
+
+
+class TestPrunedNodeCounts:
+    """Exact node counts of the pruned search: they pin the candidate lists,
+    and change only when the search does."""
+
+    def test_ising4(self):
+        result = find_symmetries(build("ising4"))
+        assert (result.nodes_visited, result.count) == (634, 16)
+
+    def test_triple_spin(self):
+        result = find_symmetries(build("triple_spin"))
+        assert (result.nodes_visited, result.count) == (220, 24)
+        # the budget tests cut this search at 50 and 100 nodes
+        assert result.nodes_visited > 100
+
+    def test_budgeted_run_with_jobs_is_cut_as_serial(self):
+        h = build("triple_spin")
+        budget = SearchConfig(node_budget=100)
+        partial = find_symmetries(h, budget, jobs=2)
+        assert not partial.exhausted and partial.nodes_visited == 100
+        assert partial == find_symmetries(h, budget, jobs=1)
+
+
+# -- property suites ---------------------------------------------------------
+
+
+@st.composite
+def color_matrices(draw, max_n=6):
+    """A square matrix of small integer entries, so that entries collide.
+
+    It is symmetric or not, and its entries are either independent or
+    constant on the orbits of index pairs under a random permutation ``g``,
+    which makes ``g`` a symmetry and the group larger.
+    """
+    n = draw(st.integers(1, max_n))
+    symmetric = draw(st.booleans())
+    colors = draw(st.integers(1, 3))
+    g = draw(st.permutations(range(n))) if draw(st.booleans()) else list(range(n))
+    entries = {}
+    for u in range(n):
+        for v in range(n):
+            if (u, v) in entries:
+                continue
+            value = draw(st.integers(0, colors - 1))
+            x, y = u, v
+            while (x, y) not in entries:
+                entries[x, y] = value
+                if symmetric:
+                    entries[y, x] = value
+                x, y = g[x], g[y]
+    return ExactMatrix.from_rows([[entries[u, v] for v in range(n)] for u in range(n)])
+
+
+def relabel(h, sigma):
+    """The matrix with index u renamed sigma(u): out[sigma(u), sigma(v)] = h[u, v]."""
+    n = h.rows
+    inv = sigma.inverse()
+    return ExactMatrix.from_rows([[h[inv(u), inv(v)] for v in range(n)] for u in range(n)])
+
+
+def search(h, **cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return find_symmetries(h, SearchConfig(**cfg))
+
+
+class TestSearchProperties:
+    @seed(5150)
+    @PROPERTY_SETTINGS
+    @given(color_matrices())
+    def test_pruned_equals_leaf_check(self, h):
+        leaf = search(h, mode=MODE_LEAF_CHECK)
+        pruned = search(h, mode=MODE_PRUNED)
+        assert list(pruned.perms) == list(leaf.perms)
+        assert pruned.count == leaf.count and pruned.exhausted
+
+    @seed(6021)
+    @PROPERTY_SETTINGS
+    @given(color_matrices(max_n=5))
+    def test_every_budget_gives_a_prefix(self, h):
+        full = search(h)
+        for budget in range(1, full.nodes_visited + 2):
+            part = search(h, node_budget=budget)
+            assert list(part.perms) == list(full.perms)[: part.count]
+            if budget < full.nodes_visited:
+                assert not part.exhausted and part.nodes_visited == budget
+            else:
+                assert part == full
+        for limit in range(1, full.count + 1):
+            part = search(h, max_results=limit)
+            assert list(part.perms) == list(full.perms)[:limit]
+            assert part.count == limit and not part.exhausted
+
+    @seed(7340)
+    @PROPERTY_SETTINGS
+    @given(color_matrices(), st.randoms(use_true_random=False))
+    def test_relabelling_conjugates_the_symmetries(self, h, rnd):
+        image = list(range(h.rows))
+        rnd.shuffle(image)
+        sigma = Perm(image)
+        found = search(relabel(h, sigma)).perms
+        expected = sorted(sigma.inverse() * p * sigma for p in search(h).perms)
+        assert list(found) == expected
