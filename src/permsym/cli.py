@@ -166,7 +166,7 @@ def _run_search(matrix, args):
         "exhausted": result.exhausted,
         "count": result.count,
     }
-    return result, search_info, wall
+    return result, cfg, search_info, wall
 
 
 def _budget_exit(result, cfg):
@@ -229,7 +229,7 @@ def _timing_text(report):
 
 def cmd_find(args):
     matrix, info = _load_input(args)
-    result, search_info, wall = _run_search(matrix, args)
+    result, cfg, search_info, wall = _run_search(matrix, args)
     report = {
         "command": "find",
         "input": info,
@@ -241,7 +241,7 @@ def cmd_find(args):
         if result.exhausted and result.count == 1:
             report["note"] = "only the identity permutation is a symmetry"
     _emit(report, args, _find_text)
-    if _budget_exit(result, _search_config(args)):
+    if _budget_exit(result, cfg):
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -274,8 +274,7 @@ def _group_text(report):
 
 def cmd_group(args):
     matrix, info = _load_input(args)
-    args.count_only = False
-    result, search_info, wall = _run_search(matrix, args)
+    result, _, search_info, wall = _run_search(matrix, args)
     if not result.exhausted:
         print("search stopped before exhausting the tree; group analysis needs "
               "the complete symmetry set", file=sys.stderr)
@@ -415,7 +414,7 @@ def _add_search_flags(sub):
     sub.add_argument("--max-results", type=int, metavar="N")
     sub.add_argument("--node-budget", type=int, metavar="N")
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="parallel workers over the top-level branch")
+                     help="parallel workers over the top-level branch (pruned mode)")
 
 
 def build_parser():

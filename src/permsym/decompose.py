@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .matrices import DimensionError, ExactMatrix
-from .scalars import ONE, ZERO, PolyScalar, as_scalar, rational
+from .scalars import ONE, ZERO, as_scalar, rational
 
 
 @dataclass(frozen=True)
@@ -192,20 +192,6 @@ class _SpanSolver:
         return len(_rref(work)) == self.rank
 
 
-def _apply(h, vec):
-    """H @ v for an integer/rational vector, as a list of PolyScalars."""
-    n = h.rows
-    out = []
-    for r in range(n):
-        acc = PolyScalar()
-        for c in range(n):
-            x = h[r, c]
-            if x and vec[c]:
-                acc = acc + x * Fraction(vec[c])
-        out.append(acc)
-    return out
-
-
 def is_invariant_subspace(h, basis):
     """True iff H maps span(basis) into itself.
 
@@ -219,9 +205,11 @@ def is_invariant_subspace(h, basis):
             f"basis vectors of length {len(basis.vectors[0])} do not match size {h.rows}"
         )
     solver = _SpanSolver([[Fraction(x) for x in v] for v in basis])
-    for v in basis:
-        image = _apply(h, v)
-        for _, (re, im) in _monomial_components(image).items():
+    # row c of (H S)^T is the image of basis vector c
+    s = ExactMatrix(h.rows, len(basis), [x for row in zip(*basis) for x in row])
+    images = (h @ s).transpose()
+    for c in range(len(basis)):
+        for _, (re, im) in _monomial_components(images.row(c)).items():
             if any(re) and not solver.contains(re):
                 return False
             if any(im) and not solver.contains(im):
@@ -303,6 +291,6 @@ def verify_eigenpair(h, eigenvalue, vector):
         raise DimensionError(f"vector length {len(vector)} does not match size {h.rows}")
     if not any(vector):
         raise ValueError("zero vector is not an eigenvector")
-    image = _apply(h, vector)
+    image = (h @ ExactMatrix(h.rows, 1, vector)).entries()
     lam = as_scalar(eigenvalue)
     return all(image[r] == lam * Fraction(vector[r]) for r in range(h.rows))

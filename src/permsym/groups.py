@@ -67,9 +67,6 @@ class SymmetryGroup:
     def __contains__(self, p):
         return p in self._index
 
-    def inverse_index(self, a):
-        return self._index[self.elements[a].inverse()]
-
 
 def verify_closure(elements):
     """Check the group axioms and return the SymmetryGroup.

@@ -98,19 +98,9 @@ class Perm:
     @classmethod
     def from_matrix(cls, m):
         """Inverse of to_matrix; rejects anything but a permutation matrix."""
-        if not m.is_square():
-            raise ValueError(f"not a permutation matrix: shape {m.shape}")
-        n = m.rows
-        image = []
-        for u in range(n):
-            ones = [c for c in range(n) if m[u, c] == ONE]
-            others = [c for c in range(n) if m[u, c] and c not in ones]
-            if len(ones) != 1 or others:
-                raise ValueError(f"not a permutation matrix: row {u}")
-            image.append(ones[0])
-        if len(set(image)) != n:
-            raise ValueError("not a permutation matrix: duplicate columns")
-        return cls(image)
+        if not m.is_permutation_matrix():
+            raise ValueError("not a permutation matrix")
+        return cls([m.row(u).index(ONE) for u in range(m.rows)])
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.image == other.image

@@ -166,15 +166,6 @@ class Monomial:
             merged[name] = merged.get(name, 0) + e
         return Monomial(sorted(merged.items()))
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative monomial power")
-        return Monomial(tuple((n, e * k) for n, e in self.factors)) if k else Monomial()
-
-    def sort_key(self):
-        # graded order: total degree first, ties broken by the factor tuple
-        return (self.degree, self.factors)
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.factors == other.factors
 
@@ -462,13 +453,16 @@ def rational(numerator, denominator=1):
 # recursion limit (1000 frames by default).
 MAX_NESTING = 100
 
-# Bound on the size of one power x^k, checked before it is computed.  The
-# bound is taken on an upper estimate of the expanded result: the number of
-# ways to pick k of the t terms of x with repetition, C(t+k-1, k), times k
-# times the largest term of x, where a term's size is its degree plus the
-# bit lengths of its coefficient's numerators and denominators.  So 2^k is
-# allowed up to k = 2,500 and (t+1)^k up to k = 49, while (t+1)^999999999
-# and nested powers such as ((t+1)^40)^40 are a ParseError.
+# Bound on the size of one power x^k or product x*y, checked before it is
+# computed.  The bound is taken on an upper estimate of the expanded result,
+# where a term's size is its degree plus the bit lengths of its coefficient's
+# numerators and denominators.  For x^k it is the number of ways to pick k of
+# the t terms of x with repetition, C(t+k-1, k), times k times the largest
+# term of x; so 2^k is allowed up to k = 2,500 and (t+1)^k up to k = 49, while
+# (t+1)^999999999 and nested powers such as ((t+1)^40)^40 are a ParseError.
+# For x*y it is the number of term pairs times the sum of the largest terms,
+# so a chain of factors such as (a+b+c+d+e+f+g+h)*(a+...)*... fails by its
+# fourth factor.
 MAX_POWER_SIZE = 10_000
 
 
@@ -478,13 +472,21 @@ def _term_size(mono, coeff):
     )
 
 
+def _largest_term(value):
+    return max((_term_size(m, c) for m, c in value.terms()), default=0)
+
+
 def _power_size(value, k):
     """The estimate of the size of ``value ** k`` that MAX_POWER_SIZE bounds."""
-    terms = value.terms()
-    size = k * max((_term_size(m, c) for m, c in terms), default=0)
+    size = k * _largest_term(value)
     if size > MAX_POWER_SIZE:
         return size
-    return comb(len(terms) + k - 1, k) * size
+    return comb(len(value.terms()) + k - 1, k) * size
+
+
+def _product_size(x, y):
+    """The estimate of the size of ``x * y`` that MAX_POWER_SIZE bounds."""
+    return len(x.terms()) * len(y.terms()) * (_largest_term(x) + _largest_term(y))
 
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
@@ -569,6 +571,10 @@ class _Parser:
             op, _, pos = self.next()
             rhs = self.unary()
             if op == "*":
+                if _product_size(value, rhs) > MAX_POWER_SIZE:
+                    raise ParseError(
+                        f"product larger than MAX_POWER_SIZE = {MAX_POWER_SIZE}", pos
+                    )
                 value = value * rhs
             else:
                 if not rhs.is_constant():
@@ -629,6 +635,6 @@ def parse(text):
 
     Raises ParseError (with a position) on malformed input, division by a
     non-constant, a zero divisor, nesting deeper than ``MAX_NESTING``, or a
-    power larger than ``MAX_POWER_SIZE``.
+    power or product larger than ``MAX_POWER_SIZE``.
     """
     return _Parser(text).parse()

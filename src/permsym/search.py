@@ -3,8 +3,9 @@
 Two modes return the same set, in the same lexicographic order:
 
 * ``leaf-check`` realizes the classic nested-loop search: every unused index
-  is tried at every level, and the full symmetry predicate runs at complete
-  permutations.
+  is tried at every level, and ``is_symmetry`` runs on H itself at complete
+  permutations.  It shares no code with ``pruned``, so it stays the serial
+  oracle that ``pruned`` is checked against.
 * ``pruned`` rejects a partial assignment ``pi(i) = j_i`` unless
   ``H[j_k, j_i] == H[k, i]`` and ``H[j_i, j_k] == H[i, k]`` for all ``k <= i``
   (diagonal included).  Any violated pair stays violated in every completion,
@@ -39,8 +40,10 @@ index tried at every level; in ``pruned`` it is every candidate drawn from the
 filtered lists, each counted once.  A node budget stops the search after that
 many candidates, so a budgeted run returns a prefix of the full list.
 
-The engine works on a small integer "color" table (one id per distinct
-entry of H), so no polynomial arithmetic happens inside the search loop.
+``pruned`` works on a small integer "color" table (one id per distinct
+entry of H), so no polynomial arithmetic happens inside its loop.  Only
+``pruned`` builds the table and the plan, and only it splits an unbudgeted
+search across processes.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import os
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .perms import Perm
@@ -259,77 +262,53 @@ def _search_pruned(colors, plan, roots, max_results, node_budget, collect):
     return found, count, nodes, True
 
 
-def _search_leaf(colors, fixed_j0, max_results, node_budget, collect):
-    """Run the paper's nested-loop search over an integer color matrix.
+def _search_leaf(h, max_results, node_budget, collect):
+    """The paper's nested-loop search, and the oracle for ``pruned``.
 
-    Every unused index is tried at every level, and the full predicate is
-    tested at complete permutations.  ``fixed_j0`` restricts the top-level
-    loop to a single value (used for parallel partitioning).  Returns
-    (perms, count, nodes, exhausted) where perms is a list of image tuples in
-    visit (= lexicographic) order.
+    Every index is drawn at every level and used ones are skipped;
+    ``is_symmetry`` is tested at complete permutations.  Returns (perms,
+    count, nodes, exhausted), where perms is a list of image tuples in visit
+    (= lexicographic) order.
     """
-    n = len(colors)
+    n = h.rows
+    last = n - 1
     j = [-1] * n
     used = [False] * n
-    marked = [False] * n
+    its = [None] * n
+    its[0] = iter(range(n))
     nodes = 0
     count = 0
     found = []
     i = 0
-    lo0, hi0 = (0, n) if fixed_j0 is None else (fixed_j0, fixed_j0 + 1)
-
     while i >= 0:
-        v = j[i]
-        if v >= 0 and marked[i]:
-            used[v] = False
-            marked[i] = False
-        v = v + 1 if v >= 0 else (lo0 if i == 0 else 0)
-        limit = hi0 if i == 0 else n
-        advanced = False
-        while v < limit:
+        for v in its[i]:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return found, count, nodes - 1, False
-            if not used[v]:
-                advanced = True
+            if used[v]:
+                continue
+            j[i] = v
+            if i < last:
+                used[v] = True
+                i += 1
+                its[i] = iter(range(n))
                 break
-            v += 1
-        if not advanced:
-            j[i] = -1
-            i -= 1
-            continue
-        j[i] = v
-        if i == n - 1:
-            if _leaf_ok(colors, j):
+            if is_symmetry(h, Perm(j)):
                 count += 1
                 if collect:
                     found.append(tuple(j))
                 if max_results is not None and count >= max_results:
                     return found, count, nodes, False
-            # stay on this level and keep advancing
         else:
-            used[v] = True
-            marked[i] = True
-            i += 1
+            i -= 1
+            if i >= 0:
+                used[j[i]] = False
     return found, count, nodes, True
-
-
-def _leaf_ok(colors, j):
-    n = len(colors)
-    for u in range(n):
-        cu = colors[u]
-        cju = colors[j[u]]
-        for v in range(n):
-            if cju[j[v]] != cu[v]:
-                return False
-    return True
 
 
 def _worker(args):
     colors, plan, roots, collect = args
-    if plan is None:
-        return [_search_leaf(colors, v0, None, None, collect) for v0 in roots]
-    return [_search_pruned(colors, plan, roots, None, None, collect)]
+    return _search_pruned(colors, plan, roots, None, None, collect)
 
 
 def find_symmetries(h, cfg=None, jobs=1):
@@ -338,11 +317,10 @@ def find_symmetries(h, cfg=None, jobs=1):
     Results are ordered lexicographically by image array; the identity comes
     first whenever the search ran to completion.  Budgets (``node_budget``,
     ``max_results``) stop the search early and are reported through
-    ``exhausted=False`` rather than by silent truncation.  ``jobs > 1``
-    partitions the level-0 candidates (in ``pruned`` mode, the cell of
-    index 0) across at most ``os.cpu_count()`` processes; node counts and
-    output are those of the serial run.  Budgeted searches always run
-    serially so that partial results are deterministic.
+    ``exhausted=False`` rather than by silent truncation.  In ``pruned`` mode
+    ``jobs > 1`` partitions the cell of index 0 across at most
+    ``os.cpu_count()`` processes; node counts and output are those of the
+    serial run.  Budgeted searches and ``leaf-check`` always run serially.
     """
     cfg = cfg or SearchConfig()
     if jobs < 1:
@@ -351,34 +329,33 @@ def find_symmetries(h, cfg=None, jobs=1):
         raise ValueError("symmetry search needs a square matrix")
     if not h.is_hermitian():
         warnings.warn("input matrix is not hermitian", stacklevel=2)
-    colors = _color_table(h)
-    n = h.rows
     collect = not cfg.count_only
-    plan = _plan(colors) if cfg.mode == MODE_PRUNED else None
-    roots = range(n) if plan is None else plan.cells[0]
-
-    budgeted = cfg.node_budget is not None or cfg.max_results is not None
-    if jobs > 1 and not budgeted and len(roots) > 1:
-        workers = min(jobs, n, os.cpu_count() or 1)
-        # one task per worker, each an interleaved share of the roots
-        tasks = [
-            (colors, plan, roots[w::workers], collect)
-            for w in range(min(workers, len(roots)))
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = [part for chunk in pool.map(_worker, tasks) for part in chunk]
-        found = [img for part in parts for img in part[0]]
-        count = sum(part[1] for part in parts)
-        nodes = sum(part[2] for part in parts)
-        exhausted = True
-    elif plan is None:
+    if cfg.mode == MODE_LEAF_CHECK:
         found, count, nodes, exhausted = _search_leaf(
-            colors, None, cfg.max_results, cfg.node_budget, collect
+            h, cfg.max_results, cfg.node_budget, collect
         )
     else:
-        found, count, nodes, exhausted = _search_pruned(
-            colors, plan, roots, cfg.max_results, cfg.node_budget, collect
-        )
+        colors = _color_table(h)
+        plan = _plan(colors)
+        roots = plan.cells[0]
+        budgeted = cfg.node_budget is not None or cfg.max_results is not None
+        if jobs > 1 and not budgeted and len(roots) > 1:
+            workers = min(jobs, h.rows, os.cpu_count() or 1)
+            # one task per worker, each an interleaved share of the roots
+            tasks = [
+                (colors, plan, roots[w::workers], collect)
+                for w in range(min(workers, len(roots)))
+            ]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_worker, tasks))
+            found = [img for part in parts for img in part[0]]
+            count = sum(part[1] for part in parts)
+            nodes = sum(part[2] for part in parts)
+            exhausted = True
+        else:
+            found, count, nodes, exhausted = _search_pruned(
+                colors, plan, roots, cfg.max_results, cfg.node_budget, collect
+            )
 
     perms = tuple(Perm(img) for img in sorted(found))
     return SearchResult(perms=perms, count=count, nodes_visited=nodes, exhausted=exhausted)
@@ -386,12 +363,4 @@ def find_symmetries(h, cfg=None, jobs=1):
 
 def count_symmetries(h, cfg=None, jobs=1):
     """Number of permutation symmetries, honoring the same config as find."""
-    cfg = cfg or SearchConfig()
-    if not cfg.count_only:
-        cfg = SearchConfig(
-            mode=cfg.mode,
-            max_results=cfg.max_results,
-            node_budget=cfg.node_budget,
-            count_only=True,
-        )
-    return find_symmetries(h, cfg, jobs=jobs).count
+    return find_symmetries(h, replace(cfg or SearchConfig(), count_only=True), jobs=jobs).count

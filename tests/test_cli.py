@@ -259,6 +259,18 @@ class TestMatrixFiles:
             )
             assert err.count("\n") == 1 and out == ""
 
+    def test_huge_product_is_a_parse_error(self, capsys, tmp_path):
+        entry = "*".join(["(a+b+c+d+e+f+g+h)"] * 7)
+        path = self.write(tmp_path, f"1 1\n{entry}\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "find", "--input", path)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert err.endswith(
+            f": product larger than MAX_POWER_SIZE = {MAX_POWER_SIZE} (at position 53)\n"
+        )
+        assert err.count("\n") == 1 and out == ""
+
     def test_non_hermitian_warning_is_one_line(self, capsys, tmp_path):
         path = self.write(tmp_path, "2 2\n0 1\n2 0\n")
         code, out, err = run_cli(capsys, "find", "--input", path, "--format", "json")

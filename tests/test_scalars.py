@@ -200,6 +200,20 @@ class TestParse:
                 parse(text)
             assert info.value.position == position
 
+    def test_product_bound(self):
+        # three factors of 8 terms pass (120 x 8 terms would be next); the
+        # fourth fails at its '*', before any multiplication of that size
+        x = "(a+b+c+d+e+f+g+h)"
+        assert parse("*".join([x] * 3)) == parse(x + "^3")
+        assert parse("(t+1)^49*(t+1)") == (param("t") + 1) ** 50
+        assert parse("2^2500*2^2500") == rational(2 ** 5000)
+        message = f"product larger than MAX_POWER_SIZE = {MAX_POWER_SIZE}"
+        for text, position in (("*".join([x] * 4), 53), ("*".join([x] * 7), 53),
+                               ("(t+1)^25*(t+1)^24", 8), ("2^2500*2^2500*2^2500*2^2500", 20)):
+            with pytest.raises(ParseError, match=message) as info:
+                parse(text)
+            assert info.value.position == position
+
     def test_power_skips_the_unused_last_square(self, monkeypatch):
         # x^4 needs the squares x^2 and x^4 only; squaring x^4 once more
         # multiplied 330 terms by 330 for a result that was dropped

@@ -15,6 +15,7 @@ from permsym import (
     find_symmetries,
     is_symmetry,
 )
+import permsym.search
 from permsym.search import MODE_LEAF_CHECK, MODE_PRUNED
 
 from helpers import rand_symmetric, reference_search, small_entry_pool
@@ -216,6 +217,21 @@ class TestParallel:
         cfg = SearchConfig(mode=MODE_LEAF_CHECK)
         assert find_symmetries(h, cfg, jobs=1) == find_symmetries(h, cfg, jobs=2)
 
+    def test_leaf_mode_needs_no_pool_and_no_color_table(self, monkeypatch):
+        # leaf-check is the oracle for pruned, so it must share neither the
+        # process pool nor the colour table with it
+        def refuse(*args, **kwargs):
+            raise AssertionError("leaf-check used the pruned search's machinery")
+
+        monkeypatch.setattr(permsym.search, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(permsym.search, "_color_table", refuse)
+        for name in ("fermi3", "hubbard2", "twospin_H"):
+            h = build(name)
+            expected, trials = reference_search(h)
+            result = find_symmetries(h, SearchConfig(mode=MODE_LEAF_CHECK), jobs=2)
+            assert [p.image for p in result.perms] == expected
+            assert result.nodes_visited == trials and result.exhausted
+
     def test_budgeted_runs_stay_serial(self):
         h = build("triple_spin")
         budget = SearchConfig(node_budget=500)
@@ -315,18 +331,21 @@ class TestSearchProperties:
     @PROPERTY_SETTINGS
     @given(color_matrices(max_n=5))
     def test_every_budget_gives_a_prefix(self, h):
-        full = search(h)
-        for budget in range(1, full.nodes_visited + 2):
-            part = search(h, node_budget=budget)
-            assert list(part.perms) == list(full.perms)[: part.count]
-            if budget < full.nodes_visited:
-                assert not part.exhausted and part.nodes_visited == budget
-            else:
-                assert part == full
-        for limit in range(1, full.count + 1):
-            part = search(h, max_results=limit)
-            assert list(part.perms) == list(full.perms)[:limit]
-            assert part.count == limit and not part.exhausted
+        # leaf-check tries n candidates under every node, so it takes n <= 4 only
+        modes = (MODE_PRUNED, MODE_LEAF_CHECK) if h.rows <= 4 else (MODE_PRUNED,)
+        for mode in modes:
+            full = search(h, mode=mode)
+            for budget in range(1, full.nodes_visited + 2):
+                part = search(h, mode=mode, node_budget=budget)
+                assert list(part.perms) == list(full.perms)[: part.count]
+                if budget < full.nodes_visited:
+                    assert not part.exhausted and part.nodes_visited == budget
+                else:
+                    assert part == full
+            for limit in range(1, full.count + 1):
+                part = search(h, mode=mode, max_results=limit)
+                assert list(part.perms) == list(full.perms)[:limit]
+                assert part.count == limit and not part.exhausted
 
     @seed(7340)
     @PROPERTY_SETTINGS
