@@ -414,7 +414,7 @@ def _add_search_flags(sub):
     sub.add_argument("--max-results", type=int, metavar="N")
     sub.add_argument("--node-budget", type=int, metavar="N")
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="parallel workers over the top-level branch (pruned mode)")
+                     help="accepted and echoed in the report; every search runs serially")
 
 
 def build_parser():

@@ -35,24 +35,36 @@ Every drawn candidate still passes the full pairwise test against all
 ``k < i``.  The lists only skip candidates that the test or the cells would
 reject, so the search emits the same permutations in the same order.
 
+An unbudgeted ``pruned`` run does not walk the whole tree.  It builds a
+stabiliser chain with base 0, 1, ..., n-1 by orbit pruning (Sims 1970; McKay
+& Piperno 2014): level ``i`` holds one symmetry for each point of the orbit of
+``i`` under the symmetries that fix ``0..i-1``, and each candidate of level
+``i`` outside the orbit found so far gets one pruned search under the prefix
+``(0..i-1, v)`` that stops at its first hit.  The count is the product of the
+orbit sizes; the listing is every product of one symmetry per level, sorted,
+so it is the list the full tree gives.  Budgeted runs (``node_budget`` or
+``max_results``) walk the tree in lexicographic order, so a partial result is
+a prefix of the full list.
+
 ``nodes_visited`` counts candidates tried.  In ``leaf-check`` that is every
-index tried at every level; in ``pruned`` it is every candidate drawn from the
-filtered lists, each counted once.  A node budget stops the search after that
-many candidates, so a budgeted run returns a prefix of the full list.
+index tried at every level; in a budgeted ``pruned`` run it is every candidate
+drawn from the filtered lists, each counted once, and a node budget stops the
+search after that many.  In an unbudgeted ``pruned`` run it is the candidates
+drawn by the chain's searches, which are disjoint parts of the tree, so it is
+never more than the whole tree's count.
 
 ``pruned`` works on a small integer "color" table (one id per distinct
 entry of H), so no polynomial arithmetic happens inside its loop.  Only
-``pruned`` builds the table and the plan, and only it splits an unbudgeted
-search across processes.
+``pruned`` builds the table and the plan.  Every search runs serially.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from math import prod
+from operator import itemgetter
 from typing import Optional
 
 from .perms import Perm
@@ -95,15 +107,17 @@ def is_symmetry(h, p):
     n = h.rows
     if len(p) != n:
         raise ValueError(f"permutation length {len(p)} does not match matrix size {n}")
+    if n == 1:
+        return True  # the only permutation of one index is the identity
     img = p.image
     e = h.entries()
+    # row p(u) permuted by p against row u; tuple comparison tests ``x is y``
+    # before ``x == y``, entry by entry
+    permuted = itemgetter(*img)
     for u in range(n):
         pu = img[u] * n
-        un = u * n
-        for v in range(n):
-            x, y = e[pu + img[v]], e[un + v]
-            if x is not y and x != y:
-                return False
+        if permuted(e[pu:pu + n]) != e[u * n:(u + 1) * n]:
+            return False
     return True
 
 
@@ -147,13 +161,17 @@ class _Plan:
     ``levels[i]`` is ``None`` when level ``i`` draws from ``cells[i]``, the
     ascending members of its cell, and ``(anchor, key)`` when it draws from
     ``index[j[anchor]][key]``: the ascending ``v`` with
-    ``colors[j[anchor]][v], cell[v] == key``.
+    ``colors[j[anchor]][v], cell[v] == key``.  ``rows_in[i]`` and
+    ``cols_in[i]`` hold H[i, k] and H[k, i] for k < i, which H[v, j_k] and
+    H[j_k, v] must match.
     """
 
     cols: tuple
     cells: tuple
     levels: tuple
     index: tuple
+    rows_in: tuple
+    cols_in: tuple
 
 
 def _plan(colors):
@@ -203,30 +221,34 @@ def _plan(colors):
         cells=tuple(members[c] for c in cell),
         levels=tuple(levels),
         index=tuple(index),
+        rows_in=tuple(colors[i][:i] for i in range(n)),
+        cols_in=tuple(cols[i][:i] for i in range(n)),
     )
 
 
-def _search_pruned(colors, plan, roots, max_results, node_budget, collect):
-    """The pruned search over the candidate lists of ``plan``.
+def _search_pruned(colors, plan, prefix, roots, max_results, node_budget, collect):
+    """The pruned search over the candidate lists of ``plan``, under a fixed prefix.
 
-    Level 0 draws from ``roots``.  Returns (perms, count, nodes, exhausted)
-    as ``_search_leaf`` does.
+    Indices ``0..len(prefix)-1`` map to ``prefix``, which must pass the
+    pairwise test, and level ``len(prefix)`` draws from ``roots``.  Returns
+    (perms, count, nodes, exhausted) as ``_search_leaf`` does.
     """
     n = len(colors)
     last = n - 1
     cols, cells, levels, index = plan.cols, plan.cells, plan.levels, plan.index
-    # H[i, k] and H[k, i] for k < i, which H[v, j_k] and H[j_k, v] must match
-    rows_in = [colors[i][:i] for i in range(n)]
-    cols_in = [cols[i][:i] for i in range(n)]
-    j = [-1] * n
+    rows_in, cols_in = plan.rows_in, plan.cols_in
+    start = len(prefix)
+    j = list(prefix) + [-1] * (n - start)
     used = [False] * n
+    for v in prefix:
+        used[v] = True
     its = [None] * n
-    its[0] = iter(roots)
+    its[start] = iter(roots)
     nodes = 0
     count = 0
     found = []
-    i = 0
-    while i >= 0:
+    i = start
+    while i >= start:
         ri, ci = rows_in[i], cols_in[i]
         for v in its[i]:
             nodes += 1
@@ -257,9 +279,64 @@ def _search_pruned(colors, plan, roots, max_results, node_budget, collect):
                 break
         else:
             i -= 1
-            if i >= 0:
+            if i >= start:
                 used[j[i]] = False
     return found, count, nodes, True
+
+
+def _stabiliser_chain(h, colors, plan):
+    """The symmetry group as a stabiliser chain with base 0, 1, ..., n-1.
+
+    Returns (chain, nodes).  ``chain[i]`` maps each point ``v`` of the orbit
+    of ``i`` under G_(0..i-1), the symmetries that fix ``0..i-1``, to one of
+    them that sends ``i`` to ``v``: a coset representative of G_(0..i) in it.
+    The levels are done from ``n-1`` down to 0, so every generator found so
+    far fixes ``0..i-1``.  A candidate ``v`` of level ``i`` that is not yet in
+    the orbit gets one pruned search under the prefix ``(0..i-1, v)`` for a
+    single symmetry: a hit is a new generator and grows the orbit, a miss
+    proves that ``v`` is outside it.  Each hit joins two orbits of the group
+    generated so far, so there are at most n-1 generators, and each is checked
+    against H itself.
+    """
+    n = len(colors)
+    levels, cells, index = plan.levels, plan.cells, plan.index
+    identity = tuple(range(n))
+    gens = []
+    chain = [None] * n
+    nodes = 0
+    for i in range(n - 1, -1, -1):
+        reps = chain[i] = {i: identity}
+        # j[anchor] = anchor under the identity prefix
+        level = levels[i]
+        for v in cells[i] if level is None else index[level[0]][level[1]]:
+            if v <= i or v in reps:
+                continue
+            found, _, seen, _ = _search_pruned(colors, plan, identity[:i], (v,), 1, None, True)
+            nodes += seen
+            if found:
+                gens.append(found[0])
+                # close the orbit under every generator: r, then g, sends i to g(p)
+                queue = list(reps)
+                for p in queue:
+                    r = reps[p]
+                    for g in gens:
+                        if g[p] not in reps:
+                            reps[g[p]] = tuple(map(g.__getitem__, r))
+                            queue.append(g[p])
+    for g in gens:
+        if not is_symmetry(h, Perm(g)):
+            raise AssertionError(f"internal error: the search found a non-symmetry {Perm(g)}")
+    return chain, nodes
+
+
+def _chain_elements(chain):
+    """Every product of one representative per level of ``chain``, as image
+    tuples: each element of the group exactly once."""
+    found = [tuple(range(len(chain)))]
+    for reps in reversed(chain):
+        if len(reps) > 1:
+            found = [tuple(map(u.__getitem__, g)) for u in reps.values() for g in found]
+    return found
 
 
 def _search_leaf(h, max_results, node_budget, collect):
@@ -306,21 +383,16 @@ def _search_leaf(h, max_results, node_budget, collect):
     return found, count, nodes, True
 
 
-def _worker(args):
-    colors, plan, roots, collect = args
-    return _search_pruned(colors, plan, roots, None, None, collect)
-
-
 def find_symmetries(h, cfg=None, jobs=1):
     """Enumerate all permutation symmetries of the square matrix ``h``.
 
     Results are ordered lexicographically by image array; the identity comes
     first whenever the search ran to completion.  Budgets (``node_budget``,
     ``max_results``) stop the search early and are reported through
-    ``exhausted=False`` rather than by silent truncation.  In ``pruned`` mode
-    ``jobs > 1`` partitions the cell of index 0 across at most
-    ``os.cpu_count()`` processes; node counts and output are those of the
-    serial run.  Budgeted searches and ``leaf-check`` always run serially.
+    ``exhausted=False`` rather than by silent truncation.  An unbudgeted
+    ``pruned`` run builds a stabiliser chain; a budgeted one walks the tree in
+    lexicographic order, so its partial result is a prefix of the full list.
+    ``jobs`` must be positive and is otherwise unused: every search is serial.
     """
     cfg = cfg or SearchConfig()
     if jobs < 1:
@@ -337,24 +409,14 @@ def find_symmetries(h, cfg=None, jobs=1):
     else:
         colors = _color_table(h)
         plan = _plan(colors)
-        roots = plan.cells[0]
-        budgeted = cfg.node_budget is not None or cfg.max_results is not None
-        if jobs > 1 and not budgeted and len(roots) > 1:
-            workers = min(jobs, h.rows, os.cpu_count() or 1)
-            # one task per worker, each an interleaved share of the roots
-            tasks = [
-                (colors, plan, roots[w::workers], collect)
-                for w in range(min(workers, len(roots)))
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_worker, tasks))
-            found = [img for part in parts for img in part[0]]
-            count = sum(part[1] for part in parts)
-            nodes = sum(part[2] for part in parts)
+        if cfg.node_budget is None and cfg.max_results is None:
+            chain, nodes = _stabiliser_chain(h, colors, plan)
+            count = prod(map(len, chain))
+            found = _chain_elements(chain) if collect else []
             exhausted = True
         else:
             found, count, nodes, exhausted = _search_pruned(
-                colors, plan, roots, cfg.max_results, cfg.node_budget, collect
+                colors, plan, (), plan.cells[0], cfg.max_results, cfg.node_budget, collect
             )
 
     perms = tuple(Perm(img) for img in sorted(found))

@@ -1,7 +1,7 @@
 import json
+import random
 import time
 
-import permsym.search
 from permsym import ExactMatrix, Perm, build, find_symmetries
 from permsym.cli import main, read_matrix_file
 from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, ZERO
@@ -330,27 +330,46 @@ class TestValidation:
             assert err == "error: jobs must be positive\n"
             assert out == ""
 
-    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
-        # the pool is a stand-in that runs the work in this process, so no
-        # worker is started whatever max_workers it is given
-        requested = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+def graph_file(tmp_path, name, n, adjacent, image=None):
+    """A graph as a matrix file: d on the diagonal, 1 on its edges, 0 elsewhere;
+    index u is renamed image[u] when an image is given."""
+    image = image or list(range(n))
+    rows = [["0"] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                rows[image[u]][image[v]] = "d"
+            elif adjacent(u, v):
+                rows[image[u]][image[v]] = "1"
+    path = tmp_path / f"{name}.txt"
+    path.write_text(f"{n} {n}\n" + "\n".join(" ".join(r) for r in rows) + "\n", encoding="utf-8")
+    return str(path)
 
-            def __enter__(self):
-                return self
 
-            def __exit__(self, *exc):
-                return False
+def cube(d):
+    return 1 << d, lambda u, v: bin(u ^ v).count("1") == 1
 
-            def map(self, fn, iterable):
-                return map(fn, iterable)
 
-        monkeypatch.setattr(permsym.search, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(permsym.search.os, "cpu_count", lambda: 3)
-        serial = json_report(capsys, "find", "--model", "ising4")
-        pooled = json_report(capsys, "find", "--model", "ising4", "--jobs", "64")
-        assert requested == [3]
-        assert pooled["symmetries"] == serial["symmetries"]
+class TestLargeGroups:
+    """Groups far larger than the search tree the stabiliser chain visits."""
+
+    def count_only(self, capsys, path, expected, seconds):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "find", "--input", path, "--count-only")
+        assert time.perf_counter() - start < seconds
+        assert (code, err) == (0, "")
+        assert f"symmetry count: {expected}\n" in out
+
+    def test_k12(self, capsys, tmp_path):
+        path = graph_file(tmp_path, "k12", 12, lambda u, v: True)
+        self.count_only(capsys, path, 479001600, 1.0)
+
+    def test_q6(self, capsys, tmp_path):
+        self.count_only(capsys, graph_file(tmp_path, "q6", *cube(6)), 46080, 1.0)
+
+    def test_relabelled_q5(self, capsys, tmp_path):
+        image = list(range(32))
+        random.Random(0).shuffle(image)
+        path = graph_file(tmp_path, "q5", *cube(5), image)
+        self.count_only(capsys, path, 3840, 10.0)

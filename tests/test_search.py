@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -16,7 +17,13 @@ from permsym import (
     is_symmetry,
 )
 import permsym.search
-from permsym.search import MODE_LEAF_CHECK, MODE_PRUNED
+from permsym.search import (
+    MODE_LEAF_CHECK,
+    MODE_PRUNED,
+    _color_table,
+    _plan,
+    _stabiliser_chain,
+)
 
 from helpers import rand_symmetric, reference_search, small_entry_pool
 
@@ -67,6 +74,47 @@ class TestIsSymmetry:
             rng.shuffle(image)
             p = Perm(image)
             assert is_symmetry(h, p) == is_symmetry(h, p.inverse())
+
+
+def reference_is_symmetry(h, p):
+    n = h.rows
+    return all(h[p(u), p(v)] == h[u, v] for u in range(n) for v in range(n))
+
+
+@st.composite
+def nearly_symmetric(draw):
+    """(H, p): p fixes n-1 and H is constant on the orbits of index pairs
+    under p, so p is a symmetry, unless one entry (n-1, u) or (u, n-1) with
+    p(u) != u is then changed.  Every mismatch lies in the last row or the
+    last column, because the orbit of (u, n-1) stays in the last column."""
+    n = draw(st.integers(1, 6))
+    p = Perm([*draw(st.permutations(range(n - 1))), n - 1])
+    entries = {}
+    for u in range(n):
+        for v in range(n):
+            value = draw(st.integers(0, 2))
+            x, y = u, v
+            while (x, y) not in entries:
+                entries[x, y] = value
+                x, y = p(x), p(y)
+    moved = [u for u in range(n) if p(u) != u]
+    if moved:
+        u = draw(st.sampled_from(moved))
+        where = draw(st.sampled_from([None, (n - 1, u), (u, n - 1)]))
+        if where is not None:
+            entries[where] = 3
+    rows = [[entries[u, v] for v in range(n)] for u in range(n)]
+    return ExactMatrix.from_rows(rows), p
+
+
+class TestIsSymmetryProperty:
+    @seed(2718)
+    @PROPERTY_SETTINGS
+    @given(nearly_symmetric())
+    def test_matches_entrywise_loop(self, case):
+        h, p = case
+        assert is_symmetry(h, p) == reference_is_symmetry(h, p)
+        assert is_symmetry(h, Perm.identity(h.rows))
 
 
 class TestFindSymmetries:
@@ -217,13 +265,12 @@ class TestParallel:
         cfg = SearchConfig(mode=MODE_LEAF_CHECK)
         assert find_symmetries(h, cfg, jobs=1) == find_symmetries(h, cfg, jobs=2)
 
-    def test_leaf_mode_needs_no_pool_and_no_color_table(self, monkeypatch):
-        # leaf-check is the oracle for pruned, so it must share neither the
-        # process pool nor the colour table with it
+    def test_leaf_mode_needs_no_color_table(self, monkeypatch):
+        # leaf-check is the oracle for pruned, so it must not share the
+        # colour table with it
         def refuse(*args, **kwargs):
             raise AssertionError("leaf-check used the pruned search's machinery")
 
-        monkeypatch.setattr(permsym.search, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(permsym.search, "_color_table", refuse)
         for name in ("fermi3", "hubbard2", "twospin_H"):
             h = build(name)
@@ -257,14 +304,18 @@ class TestPrunedNodeCounts:
     and change only when the search does."""
 
     def test_ising4(self):
-        result = find_symmetries(build("ising4"))
-        assert (result.nodes_visited, result.count) == (634, 16)
+        chain = find_symmetries(build("ising4"))
+        assert (chain.nodes_visited, chain.count) == (98, 16)
+        tree = find_symmetries(build("ising4"), SearchConfig(node_budget=10**12))
+        assert (tree.nodes_visited, tree.count) == (634, 16)
 
     def test_triple_spin(self):
-        result = find_symmetries(build("triple_spin"))
-        assert (result.nodes_visited, result.count) == (220, 24)
-        # the budget tests cut this search at 50 and 100 nodes
-        assert result.nodes_visited > 100
+        chain = find_symmetries(build("triple_spin"))
+        assert (chain.nodes_visited, chain.count) == (26, 24)
+        tree = find_symmetries(build("triple_spin"), SearchConfig(node_budget=10**12))
+        assert (tree.nodes_visited, tree.count) == (220, 24)
+        # the budget tests cut the whole tree at 50 and 100 nodes
+        assert tree.nodes_visited > 100
 
     def test_budgeted_run_with_jobs_is_cut_as_serial(self):
         h = build("triple_spin")
@@ -334,7 +385,8 @@ class TestSearchProperties:
         # leaf-check tries n candidates under every node, so it takes n <= 4 only
         modes = (MODE_PRUNED, MODE_LEAF_CHECK) if h.rows <= 4 else (MODE_PRUNED,)
         for mode in modes:
-            full = search(h, mode=mode)
+            # the whole tree: an unbudgeted pruned run builds a chain instead
+            full = search(h, mode=mode, node_budget=10**12)
             for budget in range(1, full.nodes_visited + 2):
                 part = search(h, mode=mode, node_budget=budget)
                 assert list(part.perms) == list(full.perms)[: part.count]
@@ -357,3 +409,48 @@ class TestSearchProperties:
         found = search(relabel(h, sigma)).perms
         expected = sorted(sigma.inverse() * p * sigma for p in search(h).perms)
         assert list(found) == expected
+
+
+def sift(chain, image):
+    """True iff ``image`` factors through the chain's representatives: at
+    level i, divide by the representative that sends i where image does."""
+    g = list(image)
+    for i, reps in enumerate(chain):
+        u = reps.get(g[i])
+        if u is None:
+            return False
+        inverse = [0] * len(u)
+        for x, y in enumerate(u):
+            inverse[y] = x
+        g = [inverse[y] for y in g]
+    return True
+
+
+class TestStabiliserChain:
+    @seed(3141)
+    @PROPERTY_SETTINGS
+    @given(color_matrices())
+    def test_chain_equals_leaf_check_and_the_whole_tree(self, h):
+        chain = search(h)
+        leaf = search(h, mode=MODE_LEAF_CHECK)
+        tree = search(h, node_budget=10**12)
+        assert list(chain.perms) == list(leaf.perms) == list(tree.perms)
+        assert chain.count == leaf.count == tree.count
+        assert chain.exhausted and tree.exhausted
+        assert chain.nodes_visited <= tree.nodes_visited
+        assert search(h, count_only=True).count == chain.count
+
+    @seed(2024)
+    @PROPERTY_SETTINGS
+    @given(color_matrices())
+    def test_sifting_agrees_with_membership(self, h):
+        group = set(reference_search(h)[0])
+        colors = _color_table(h)
+        chain, _ = _stabiliser_chain(h, colors, _plan(colors))
+        for image in itertools.permutations(range(h.rows)):
+            assert sift(chain, image) == (image in group)
+
+    def test_generators_are_checked_against_h(self, monkeypatch):
+        monkeypatch.setattr(permsym.search, "is_symmetry", lambda h, p: False)
+        with pytest.raises(AssertionError, match="internal error"):
+            find_symmetries(build("hubbard2"), SearchConfig(count_only=True))
