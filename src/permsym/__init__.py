@@ -29,7 +29,7 @@ from .groups import (
 )
 from .matrices import DimensionError, ExactMatrix, direct_sum, kron, star2
 from .models import ModelError, ModelSpec, build, list_models, sigma, sigma_at
-from .perms import Perm, compose, induced_site_perm, inverse
+from .perms import Perm, induced_site_perm
 from .scalars import (
     GaussRational,
     Monomial,
@@ -45,7 +45,6 @@ from .search import (
     MODE_PRUNED,
     SearchConfig,
     SearchResult,
-    count_symmetries,
     find_symmetries,
     is_symmetry,
 )
@@ -74,16 +73,13 @@ __all__ = [
     "block_form",
     "build",
     "column_space_basis",
-    "compose",
     "conjugacy_classes",
-    "count_symmetries",
     "direct_sum",
     "element_orders",
     "find_symmetries",
     "generate_from",
     "generating_set",
     "induced_site_perm",
-    "inverse",
     "involutions",
     "is_commutative",
     "is_invariant_subspace",

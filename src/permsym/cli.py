@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 
 from . import groups
 from .decompose import block_form, column_space_basis, projectors_from_involution
@@ -50,6 +49,16 @@ class MatrixFileError(ValueError):
     pass
 
 
+def _dimension(field):
+    """``field`` as an int if it is ASCII decimal digits, else None."""
+    if not (field.isascii() and field.isdigit()):
+        return None
+    try:
+        return int(field)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+
+
 def read_matrix_file(path):
     """Parse a matrix file into an ExactMatrix."""
     try:
@@ -65,10 +74,10 @@ def read_matrix_file(path):
     if not lines:
         raise MatrixFileError(f"{path}: empty matrix file")
     header_no, header = lines[0]
-    fields = header.split()
-    if len(fields) != 2 or not all(f.isdigit() for f in fields):
+    dims = [_dimension(f) for f in header.split()]
+    if len(dims) != 2 or None in dims:
         raise MatrixFileError(f"{path}:{header_no}: header must be 'rows cols'")
-    rows, cols = int(fields[0]), int(fields[1])
+    rows, cols = dims
     if rows < 1 or cols < 1:
         raise MatrixFileError(f"{path}:{header_no}: dimensions must be positive")
     body = lines[1:]
@@ -146,19 +155,19 @@ def _perm_record(p):
 
 def _run_search(matrix, args):
     cfg = _search_config(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        start = time.perf_counter()
-        result = find_symmetries(matrix, cfg, jobs=args.jobs)
-        wall = time.perf_counter() - start
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    if args.jobs < 1:
+        raise ValueError("jobs must be positive")
+    start = time.perf_counter()
+    result = find_symmetries(matrix, cfg)
+    wall = time.perf_counter() - start
+    if not matrix.is_hermitian():
+        print("warning: input matrix is not hermitian", file=sys.stderr)
     for p in result.perms:
         if not is_symmetry(matrix, p):
             raise AssertionError(f"internal error: emitted non-symmetry {p}")
     search_info = {
         "mode": cfg.mode,
-        "jobs": args.jobs,
+        "jobs": 1,  # workers used: every search runs serially
         "count_only": cfg.count_only,
         "max_results": cfg.max_results,
         "node_budget": cfg.node_budget,
@@ -414,7 +423,8 @@ def _add_search_flags(sub):
     sub.add_argument("--max-results", type=int, metavar="N")
     sub.add_argument("--node-budget", type=int, metavar="N")
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="accepted and echoed in the report; every search runs serially")
+                     help="accepted for compatibility and must be at least 1; every "
+                          "search runs serially, so the report gives jobs 1")
 
 
 def build_parser():

@@ -140,21 +140,13 @@ def format_cycles(cycles):
     return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
 
 
-def compose(p, q):
-    """First p, then q: to_matrix(compose(p, q)) = to_matrix(p) @ to_matrix(q)."""
-    return p * q
-
-
-def inverse(p):
-    return p.inverse()
-
-
 def induced_site_perm(g):
     """Lift a permutation of n sites to the 2^n spin basis indices.
 
     Basis index bits are ordered with site 0 as the most significant bit.
     The bit sitting at site k moves to site ``g(k)``, which makes the lift a
-    group homomorphism compatible with ``compose``.
+    group homomorphism for ``*``: the lift of ``g * h`` is the lift of ``g``
+    times the lift of ``h``.
     """
     n = len(g)
     if n < 1:

@@ -489,8 +489,10 @@ def _product_size(x, y):
     return len(x.terms()) * len(y.terms()) * (_largest_term(x) + _largest_term(y))
 
 
+# ASCII only: str.isdigit() also accepts superscripts and other scripts' digits
+_DIGITS = set("0123456789")
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CONT = _IDENT_START | set("0123456789_")
+_IDENT_CONT = _IDENT_START | _DIGITS | {"_"}
 
 
 def _tokenize(text):
@@ -502,9 +504,9 @@ def _tokenize(text):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(("int", text[start:pos], start))
             continue

@@ -55,14 +55,14 @@ never more than the whole tree's count.
 
 ``pruned`` works on a small integer "color" table (one id per distinct
 entry of H), so no polynomial arithmetic happens inside its loop.  Only
-``pruned`` builds the table and the plan.  Every search runs serially.
+``pruned`` builds the table and the plan.  ``find_symmetries`` depends on H
+and its ``SearchConfig`` only, and runs serially in the calling process.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
 from typing import Optional
@@ -383,7 +383,7 @@ def _search_leaf(h, max_results, node_budget, collect):
     return found, count, nodes, True
 
 
-def find_symmetries(h, cfg=None, jobs=1):
+def find_symmetries(h, cfg=None):
     """Enumerate all permutation symmetries of the square matrix ``h``.
 
     Results are ordered lexicographically by image array; the identity comes
@@ -392,15 +392,11 @@ def find_symmetries(h, cfg=None, jobs=1):
     ``exhausted=False`` rather than by silent truncation.  An unbudgeted
     ``pruned`` run builds a stabiliser chain; a budgeted one walks the tree in
     lexicographic order, so its partial result is a prefix of the full list.
-    ``jobs`` must be positive and is otherwise unused: every search is serial.
+    ``h`` need not be hermitian; the CLI reports one that is not.
     """
     cfg = cfg or SearchConfig()
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
     if not h.is_square():
         raise ValueError("symmetry search needs a square matrix")
-    if not h.is_hermitian():
-        warnings.warn("input matrix is not hermitian", stacklevel=2)
     collect = not cfg.count_only
     if cfg.mode == MODE_LEAF_CHECK:
         found, count, nodes, exhausted = _search_leaf(
@@ -421,8 +417,3 @@ def find_symmetries(h, cfg=None, jobs=1):
 
     perms = tuple(Perm(img) for img in sorted(found))
     return SearchResult(perms=perms, count=count, nodes_visited=nodes, exhausted=exhausted)
-
-
-def count_symmetries(h, cfg=None, jobs=1):
-    """Number of permutation symmetries, honoring the same config as find."""
-    return find_symmetries(h, replace(cfg or SearchConfig(), count_only=True), jobs=jobs).count

@@ -68,10 +68,14 @@ class TestFind:
         assert report["search"]["count"] == 4
 
     def test_jobs_flag_same_output(self, capsys):
+        # the report gives the one worker used, whatever --jobs asks for
         a = json_report(capsys, "find", "--model", "ising4")
-        b = json_report(capsys, "find", "--model", "ising4", "--jobs", "2")
-        a["search"]["jobs"] = b["search"]["jobs"]
+        b = json_report(capsys, "find", "--model", "ising4", "--jobs", "3")
+        assert b["search"]["jobs"] == 1
         assert comparison_form(a) == comparison_form(b)
+        code, out, err = run_cli(capsys, "find", "--model", "ising4", "--jobs", "3")
+        assert code == 0
+        assert "mode: pruned  jobs: 1\n" in out
 
     def test_determinism_byte_identical(self, capsys):
         a = json_report(capsys, "find", "--model", "triple_spin")
@@ -198,9 +202,13 @@ class TestMatrixFiles:
         assert report["search"]["count"] == 2
 
     def test_bad_header(self, capsys, tmp_path):
-        path = self.write(tmp_path, "two two\n0 t\nt 0\n")
-        code, out, err = run_cli(capsys, "find", "--input", path)
-        assert code == 2
+        # str.isdigit() accepts '\u00b2' and '\u0662', and int() converts the
+        # second; 5000 digits are more than int() converts
+        for header in ("two two", "2\u00b2 2", "\u0662 2", "9" * 5000 + " 2"):
+            path = self.write(tmp_path, f"{header}\n0 t\nt 0\n")
+            code, out, err = run_cli(capsys, "find", "--input", path)
+            assert (code, out) == (2, "")
+            assert err == f"error: {path}:1: header must be 'rows cols'\n"
 
     def test_bad_expression(self, capsys, tmp_path):
         path = self.write(tmp_path, "2 2\n0 t$\nt 0\n")
@@ -218,9 +226,11 @@ class TestMatrixFiles:
         assert code == 2
 
     def test_non_square_rejected(self, capsys, tmp_path):
+        # the search's own error, and no non-hermitian warning before it
         path = self.write(tmp_path, "1 2\n0 t\n")
         code, out, err = run_cli(capsys, "find", "--input", path)
-        assert code == 3
+        assert (code, out) == (3, "")
+        assert err == "error: symmetry search needs a square matrix\n"
 
     def test_non_utf8_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.txt"
@@ -329,6 +339,18 @@ class TestValidation:
             assert code == 3
             assert err == "error: jobs must be positive\n"
             assert out == ""
+
+    def test_jobs_is_checked_after_input_and_config_before_the_search(self, capsys, tmp_path):
+        bad_header = tmp_path / "bad.txt"
+        bad_header.write_text("two two\n0 t\nt 0\n", encoding="utf-8")
+        non_square = tmp_path / "wide.txt"
+        non_square.write_text("1 2\n0 t\n", encoding="utf-8")
+        for argv, code, err in (
+            (["--input", str(bad_header)], 2, f"error: {bad_header}:1: header must be 'rows cols'\n"),
+            (["--model", "hubbard2", "--max-results", "0"], 3, "error: max_results must be positive\n"),
+            (["--input", str(non_square)], 3, "error: jobs must be positive\n"),
+        ):
+            assert run_cli(capsys, "find", *argv, "--jobs", "0") == (code, "", err)
 
 
 def graph_file(tmp_path, name, n, adjacent, image=None):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from permsym import ExactMatrix, Perm, build, compose, induced_site_perm, is_symmetry
+from permsym import ExactMatrix, Perm, build, induced_site_perm, is_symmetry
 from permsym.matrices import direct_sum, star2
 from permsym.models import sigma
 
@@ -151,7 +151,3 @@ class TestInducedSitePerm:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             induced_site_perm(Perm([]))
-
-    def test_compose_free_function(self):
-        p, q = Perm([1, 0, 2]), Perm([0, 2, 1])
-        assert compose(p, q) == p * q

@@ -235,6 +235,13 @@ class TestParse:
             with pytest.raises(ParseError, match="integer literal too long"):
                 parse(text)
 
+    def test_only_ascii_digits(self):
+        # str.isdigit() accepts both characters, and int() converts the second
+        for text, position in (("2\u00b2", 1), ("\u0663*a", 0)):
+            with pytest.raises(ParseError, match="unexpected character") as info:
+                parse(text)
+            assert info.value.position == position
+
     def test_bad_exponent(self):
         with pytest.raises(ParseError):
             parse("t^0")

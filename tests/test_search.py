@@ -12,7 +12,6 @@ from permsym import (
     SearchConfig,
     SearchResult,
     build,
-    count_symmetries,
     find_symmetries,
     is_symmetry,
 )
@@ -161,9 +160,11 @@ class TestFindSymmetries:
         with pytest.raises(ValueError):
             find_symmetries(ExactMatrix.zeros(2, 3))
 
-    def test_non_hermitian_warns_but_runs(self):
+    def test_non_hermitian_runs_without_warning(self):
+        # the CLI reports a non-hermitian input; the search only searches
         m = ExactMatrix.from_rows([[0, 1], [0, 0]])
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = find_symmetries(m)
         assert [p.image for p in result.perms] == [(0, 1)]
 
@@ -243,9 +244,10 @@ class TestBudgets:
 
 class TestCountOnly:
     def test_counts(self):
-        assert count_symmetries(build("fermi3", {"k1": "k", "k2": "k", "k3": "k"})) == 2
-        assert count_symmetries(build("twospin_H")) == 4
-        assert count_symmetries(build("fermi3", {"k2": "q", "k3": "q"})) == 1
+        cfg = SearchConfig(count_only=True)
+        assert find_symmetries(build("fermi3", {"k1": "k", "k2": "k", "k3": "k"}), cfg).count == 2
+        assert find_symmetries(build("twospin_H"), cfg).count == 4
+        assert find_symmetries(build("fermi3", {"k2": "q", "k3": "q"}), cfg).count == 1
 
     def test_count_only_config_returns_no_perms(self):
         result = find_symmetries(build("hubbard2"), SearchConfig(count_only=True))
@@ -254,17 +256,6 @@ class TestCountOnly:
 
 
 class TestParallel:
-    def test_jobs_match_serial(self):
-        h = build("ising4")
-        serial = find_symmetries(h, jobs=1)
-        parallel = find_symmetries(h, jobs=3)
-        assert serial == parallel
-
-    def test_jobs_leaf_mode(self):
-        h = build("hubbard2")
-        cfg = SearchConfig(mode=MODE_LEAF_CHECK)
-        assert find_symmetries(h, cfg, jobs=1) == find_symmetries(h, cfg, jobs=2)
-
     def test_leaf_mode_needs_no_color_table(self, monkeypatch):
         # leaf-check is the oracle for pruned, so it must not share the
         # colour table with it
@@ -275,14 +266,9 @@ class TestParallel:
         for name in ("fermi3", "hubbard2", "twospin_H"):
             h = build(name)
             expected, trials = reference_search(h)
-            result = find_symmetries(h, SearchConfig(mode=MODE_LEAF_CHECK), jobs=2)
+            result = find_symmetries(h, SearchConfig(mode=MODE_LEAF_CHECK))
             assert [p.image for p in result.perms] == expected
             assert result.nodes_visited == trials and result.exhausted
-
-    def test_budgeted_runs_stay_serial(self):
-        h = build("triple_spin")
-        budget = SearchConfig(node_budget=500)
-        assert find_symmetries(h, budget, jobs=4) == find_symmetries(h, budget, jobs=1)
 
 
 class TestResultShape:
@@ -293,10 +279,11 @@ class TestResultShape:
             result.count = 0
 
     def test_degenerate_parameters_enlarge_group(self):
+        cfg = SearchConfig(count_only=True)
         tied = build("fermi3", {"k1": "k", "k2": "k", "k3": "k"})
-        assert count_symmetries(tied) == 2
+        assert find_symmetries(tied, cfg).count == 2
         scalar = build("fermi3", {"k1": "k", "k2": "k", "k3": "k", "t": 0})
-        assert count_symmetries(scalar) == 6
+        assert find_symmetries(scalar, cfg).count == 6
 
 
 class TestPrunedNodeCounts:
@@ -320,9 +307,9 @@ class TestPrunedNodeCounts:
     def test_budgeted_run_with_jobs_is_cut_as_serial(self):
         h = build("triple_spin")
         budget = SearchConfig(node_budget=100)
-        partial = find_symmetries(h, budget, jobs=2)
+        partial = find_symmetries(h, budget)
         assert not partial.exhausted and partial.nodes_visited == 100
-        assert partial == find_symmetries(h, budget, jobs=1)
+        assert partial == find_symmetries(h, budget)
 
 
 # -- property suites ---------------------------------------------------------
@@ -363,9 +350,7 @@ def relabel(h, sigma):
 
 
 def search(h, **cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return find_symmetries(h, SearchConfig(**cfg))
+    return find_symmetries(h, SearchConfig(**cfg))
 
 
 class TestSearchProperties:
