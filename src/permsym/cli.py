@@ -59,6 +59,14 @@ def _dimension(field):
         return None
 
 
+def _flag_int(text):
+    """argparse type of the integer flags: an optional '-', then ASCII digits."""
+    value = _dimension(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return -value if text.startswith("-") else value
+
+
 def read_matrix_file(path):
     """Parse a matrix file into an ExactMatrix."""
     try:
@@ -420,9 +428,9 @@ def _add_search_flags(sub):
     sub.add_argument("--mode", choices=("leaf", "pruned"), default="pruned",
                      help="leaf tests full permutations only; pruned rejects "
                           "inconsistent partial assignments early")
-    sub.add_argument("--max-results", type=int, metavar="N")
-    sub.add_argument("--node-budget", type=int, metavar="N")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
+    sub.add_argument("--max-results", type=_flag_int, metavar="N")
+    sub.add_argument("--node-budget", type=_flag_int, metavar="N")
+    sub.add_argument("--jobs", type=_flag_int, default=1, metavar="N",
                      help="accepted for compatibility and must be at least 1; every "
                           "search runs serially, so the report gives jobs 1")
 

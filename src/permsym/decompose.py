@@ -134,10 +134,11 @@ def _constant_fraction_matrix(m):
     """Entries of a parameter-free matrix as Fractions; rejects imaginary parts."""
     out = []
     zero = Fraction(0)
+    e = m.entries()
     for r in range(m.rows):
         row = []
         for c in range(m.cols):
-            x = m[r, c]
+            x = e[r * m.cols + c]
             if x is ZERO:
                 row.append(zero)
                 continue
@@ -179,24 +180,13 @@ def _monomial_components(vec):
     return comps
 
 
-class _SpanSolver:
-    """Answers membership questions against a fixed rational basis."""
-
-    def __init__(self, vectors):
-        self.rows = [list(v) for v in vectors]
-        self.pivots = _rref(self.rows)
-        self.rank = len(self.pivots)
-
-    def contains(self, vec):
-        work = self.rows[: self.rank] + [list(vec)]
-        return len(_rref(work)) == self.rank
-
-
 def is_invariant_subspace(h, basis):
     """True iff H maps span(basis) into itself.
 
-    Coefficients in the combinations may be polynomials in the parameters;
-    membership is decided monomial by monomial over the rationals.
+    Coefficients in the combinations may be polynomials in the parameters, so
+    the span is invariant exactly when the real and imaginary part of every
+    monomial of every image lies in it: one elimination over the basis rows
+    and all those part vectors finds no rank beyond the basis.
     """
     if not h.is_square():
         raise DimensionError("need a square matrix")
@@ -204,17 +194,14 @@ def is_invariant_subspace(h, basis):
         raise DimensionError(
             f"basis vectors of length {len(basis.vectors[0])} do not match size {h.rows}"
         )
-    solver = _SpanSolver([[Fraction(x) for x in v] for v in basis])
+    rows = [[Fraction(x) for x in v] for v in basis]
     # row c of (H S)^T is the image of basis vector c
     s = ExactMatrix(h.rows, len(basis), [x for row in zip(*basis) for x in row])
     images = (h @ s).transpose()
     for c in range(len(basis)):
-        for _, (re, im) in _monomial_components(images.row(c)).items():
-            if any(re) and not solver.contains(re):
-                return False
-            if any(im) and not solver.contains(im):
-                return False
-    return True
+        for re, im in _monomial_components(images.row(c)).values():
+            rows += [re, im]
+    return _rank(rows) == len(basis)
 
 
 def block_form(h, basis1, basis2):

@@ -1,30 +1,32 @@
-"""Dense matrices over PolyScalar with the exact operations used throughout:
+"""Sparse matrices over PolyScalar with the exact operations used throughout:
 multiplication, transpose, conjugate transpose, Kronecker product, direct sum
 and the 2x2 star product.  All matrices are immutable.
 
-Entries are stored densely, row-major, but every zero entry is the shared
-``ZERO`` singleton, so the kernels skip zeros with an identity test instead of
-touching them.  ``@`` is a row-wise sparse product (Gustavson, ACM TOMS 1978):
-the non-zeros of each row of the right operand are listed once, and each
-non-zero ``a[r, t]`` adds ``a[r, t] * b[t, c]`` into the row's accumulator in
-ascending ``t``.  ``kron`` emits whole runs of ``ZERO`` for zero entries of its
-left operand, and ``+``, ``-`` and scalar ``*`` pass zeros through.  Products
-with the ``ONE`` singleton return the other factor.  Results of these kernels
-are built by a trusted constructor that skips re-coercing entries that are
-already PolyScalars; entries that cancel to zero are replaced by ``ZERO``.
+A matrix stores its non-zeros only, as one dict per row mapping a column to a
+non-zero PolyScalar.  A row dict is never changed once a matrix holds it, so
+matrices may share rows.  ``entries()`` and ``row(r)`` read a dense row-major
+view in which every zero is the shared ``ZERO`` singleton; the view is built
+the first time it is read and then kept.  ``@`` is a row-wise sparse product
+(Gustavson, ACM TOMS 1978): each non-zero ``a[r, t]``, in ascending ``t``,
+adds ``a[r, t] * b[t, c]`` over the non-zeros of row ``t`` of ``b`` into the
+row's accumulator.  Products with the ``ONE`` singleton return the other
+factor, and entries that cancel to zero are dropped.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, PolyScalar, as_scalar
+from .scalars import ONE, ZERO, as_scalar
 
 
 class DimensionError(ValueError):
     pass
 
 
+_set = object.__setattr__
+
+
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "_e", "_hash")
+    __slots__ = ("rows", "cols", "_r", "_d", "_hash")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(as_scalar(x) or ZERO for x in entries)
@@ -32,19 +34,24 @@ class ExactMatrix:
             raise DimensionError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_e", entries)
-        object.__setattr__(self, "_hash", None)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_r", tuple(
+            {c: x for c, x in enumerate(entries[r * cols : (r + 1) * cols]) if x is not ZERO}
+            for r in range(rows)
+        ))
+        _set(self, "_d", entries)
+        _set(self, "_hash", None)
 
     @classmethod
-    def _trusted(cls, rows, cols, entries):
-        """Wrap a tuple of PolyScalars whose zeros are all ``ZERO``, unchecked."""
+    def _trusted(cls, rows, cols, row_dicts):
+        """Wrap a tuple of row dicts of non-zero PolyScalars, unchecked."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_e", entries)
-        object.__setattr__(m, "_hash", None)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "_r", row_dicts)
+        _set(m, "_d", None)
+        _set(m, "_hash", None)
         return m
 
     def __setattr__(self, name, value):
@@ -65,13 +72,12 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n):
-        entries = [ONE if r == c else ZERO for r in range(n) for c in range(n)]
-        return cls._trusted(n, n, tuple(entries))
+        return cls._trusted(n, n, tuple({r: ONE} for r in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols=None):
         cols = rows if cols is None else cols
-        return cls._trusted(rows, cols, (ZERO,) * (rows * cols))
+        return cls._trusted(rows, cols, tuple({} for _ in range(rows)))
 
     # -- access --------------------------------------------------------
 
@@ -79,13 +85,21 @@ class ExactMatrix:
         r, c = key
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"index {key} out of range for {self.rows}x{self.cols}")
-        return self._e[r * self.cols + c]
+        return self._r[r].get(c, ZERO)
 
     def row(self, r):
-        return self._e[r * self.cols : (r + 1) * self.cols]
+        return self.entries()[r * self.cols : (r + 1) * self.cols]
 
     def entries(self):
-        return self._e
+        """All entries, row-major; every zero is ``ZERO``."""
+        if self._d is None:
+            dense = [ZERO] * (self.rows * self.cols)
+            for r, row in enumerate(self._r):
+                base = r * self.cols
+                for c, x in row.items():
+                    dense[base + c] = x
+            _set(self, "_d", tuple(dense))
+        return self._d
 
     @property
     def shape(self):
@@ -96,83 +110,75 @@ class ExactMatrix:
 
     # -- algebra --------------------------------------------------------
 
+    def _map(self, f):
+        """The matrix of ``f(x)`` over the non-zeros ``x``; zero results are dropped."""
+        return ExactMatrix._trusted(self.rows, self.cols, tuple(
+            {c: y for c, x in row.items() if (y := f(x))} for row in self._r
+        ))
+
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch: {self.shape} + {other.shape}")
-        return ExactMatrix._trusted(self.rows, self.cols, tuple([
-            a if b is ZERO else b if a is ZERO else (a + b or ZERO)
-            for a, b in zip(self._e, other._e)
-        ]))
+        out = []
+        for a_row, b_row in zip(self._r, other._r):
+            row = dict(a_row)
+            for c, y in b_row.items():
+                s = row.pop(c, ZERO) + y
+                if s:
+                    row[c] = s
+            out.append(row)
+        return ExactMatrix._trusted(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch: {self.shape} - {other.shape}")
-        return ExactMatrix._trusted(self.rows, self.cols, tuple([
-            a if b is ZERO else (a - b or ZERO) for a, b in zip(self._e, other._e)
-        ]))
+        return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix._trusted(
-            self.rows, self.cols, tuple([a if a is ZERO else -a for a in self._e])
-        )
+        return self._map(lambda a: -a)
 
     def __mul__(self, scalar):
-        s = as_scalar(scalar) if not isinstance(scalar, ExactMatrix) else None
-        if s is None:
+        if isinstance(scalar, ExactMatrix):
             return NotImplemented
-        if not s:
-            return ExactMatrix._trusted(self.rows, self.cols, (ZERO,) * len(self._e))
-        # a product of non-zero polynomials is non-zero
-        return ExactMatrix._trusted(
-            self.rows, self.cols,
-            tuple([a if a is ZERO else s if a is ONE else a * s for a in self._e]),
-        )
+        s = as_scalar(scalar)
+        return self._map(lambda a: s if a is ONE else a * s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        s = as_scalar(scalar)
-        return ExactMatrix(self.rows, self.cols, [a / s for a in self._e])
+        # ONE / s raises for a zero or non-constant divisor, even with no entry to map
+        return self * (ONE / as_scalar(scalar))
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self._e, other._e
-        b_rows = [
-            [(c, y) for c, y in enumerate(b[t * m : (t + 1) * m]) if y is not ZERO]
-            for t in range(k)
-        ]
-        out = [ZERO] * (n * m)
-        for r in range(n):
+        b = other._r
+        out = []
+        for a_row in self._r:
             acc = {}
-            for t, x in enumerate(a[r * k : (r + 1) * k]):
-                if x is ZERO:
-                    continue
-                for c, y in b_rows[t]:
+            for t, x in sorted(a_row.items()):
+                for c, y in b[t].items():
                     xy = x if y is ONE else y if x is ONE else x * y
                     prev = acc.get(c)
                     acc[c] = xy if prev is None else prev + xy
-            base = r * m
-            for c, v in acc.items():
-                if v:
-                    out[base + c] = v
-        return ExactMatrix._trusted(n, m, tuple(out))
+            out.append({c: v for c, v in acc.items() if v})
+        return ExactMatrix._trusted(self.rows, other.cols, tuple(out))
 
     def transpose(self):
-        e, cols = self._e, self.cols
-        return ExactMatrix._trusted(
-            cols, self.rows, tuple(x for c in range(cols) for x in e[c::cols])
-        )
+        out = tuple({} for _ in range(self.cols))
+        for r, row in enumerate(self._r):
+            for c, x in row.items():
+                out[c][r] = x
+        return ExactMatrix._trusted(self.cols, self.rows, out)
 
     def conjugate(self):
-        return ExactMatrix(self.rows, self.cols, [a.conjugate() for a in self._e])
+        return self._map(lambda a: a.conjugate())
 
     def dagger(self):
         """Conjugate transpose; parameters are treated as real."""
@@ -181,46 +187,29 @@ class ExactMatrix:
     def is_hermitian(self):
         if not self.is_square():
             raise DimensionError("hermiticity is defined for square matrices only")
-        n = self.rows
-        e = self._e
-        for r in range(n):
-            for c in range(r, n):
-                x, y = e[r * n + c], e[c * n + r]
-                if (x is not ZERO or y is not ZERO) and x != y.conjugate():
-                    return False
-        return True
+        return self == self.dagger()
 
     def is_permutation_matrix(self):
         """True iff entries are 0/1 with exactly one 1 per row and column."""
-        if not self.is_square():
+        if not self.is_square() or any(len(row) != 1 for row in self._r):
             return False
-        n = self.rows
-        seen_cols = set()
-        for r in range(n):
-            ones = [c for c in range(n) if self._e[r * n + c] == ONE]
-            if len(ones) != 1:
-                return False
-            if any(self._e[r * n + c] for c in range(n) if c != ones[0]):
-                return False
-            seen_cols.add(ones[0])
-        return len(seen_cols) == n
+        ones = {c for row in self._r for c, x in row.items() if x == ONE}
+        return len(ones) == self.rows
 
     def substitute(self, bindings):
-        return ExactMatrix(self.rows, self.cols, [a.substitute(bindings) for a in self._e])
+        return self._map(lambda a: a.substitute(bindings))
 
     # -- comparison and rendering ----------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._e == other._e
+        return self.shape == other.shape and self._r == other._r
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.rows, self.cols, self._e))
-            object.__setattr__(self, "_hash", h)
-        return h
+        if self._hash is None:
+            _set(self, "_hash", hash((self.rows, self.cols, self.entries())))
+        return self._hash
 
     def __repr__(self):
         return f"<ExactMatrix {self.rows}x{self.cols}>"
@@ -236,35 +225,24 @@ class ExactMatrix:
 
 def kron(a, b):
     """Kronecker product, (a.rows*b.rows) x (a.cols*b.cols)."""
-    ae, be, ac, bc = a._e, b._e, a.cols, b.cols
-    b_rows = [be[r * bc : (r + 1) * bc] for r in range(b.rows)]
-    zeros = (ZERO,) * bc
-    out = []
-    for ar in range(a.rows):
-        a_row = ae[ar * ac : (ar + 1) * ac]
-        for b_row in b_rows:
-            for x in a_row:
-                if x is ZERO:
-                    out.extend(zeros)
-                else:
-                    out.extend([
-                        ZERO if y is ZERO else x if y is ONE else y if x is ONE else x * y
-                        for y in b_row
-                    ])
-    return ExactMatrix._trusted(a.rows * b.rows, ac * bc, tuple(out))
+    bc = b.cols
+    # a product of non-zero polynomials is non-zero
+    out = tuple(
+        {
+            ac * bc + c: x if y is ONE else y if x is ONE else x * y
+            for ac, x in a_row.items()
+            for c, y in b_row.items()
+        }
+        for a_row in a._r
+        for b_row in b._r
+    )
+    return ExactMatrix._trusted(a.rows * b.rows, a.cols * bc, out)
 
 
 def direct_sum(a, b):
     """Block-diagonal sum, zeros off the blocks."""
-    rows, cols = a.rows + b.rows, a.cols + b.cols
-    out = [ZERO] * (rows * cols)
-    for r in range(a.rows):
-        for c in range(a.cols):
-            out[r * cols + c] = a[r, c]
-    for r in range(b.rows):
-        for c in range(b.cols):
-            out[(a.rows + r) * cols + (a.cols + c)] = b[r, c]
-    return ExactMatrix(rows, cols, out)
+    shifted = tuple({a.cols + c: x for c, x in row.items()} for row in b._r)
+    return ExactMatrix._trusted(a.rows + b.rows, a.cols + b.cols, a._r + shifted)
 
 
 def star2(a, b):

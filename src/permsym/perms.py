@@ -32,9 +32,9 @@ class Perm:
 
     @classmethod
     def parse(cls, text):
-        """Parse the textual form ``j_0,j_1,...,j_{n-1}`` (0-based)."""
+        """Parse the textual form ``j_0,j_1,...,j_{n-1}`` (0-based, ASCII digits)."""
         try:
-            return cls(int(part) for part in text.split(","))
+            return cls(_index(part) for part in text.split(","))
         except ValueError as exc:
             raise ValueError(f"bad permutation {text!r}: {exc}") from None
 
@@ -128,6 +128,15 @@ def _trusted(image):
     p = object.__new__(Perm)
     _set_image(p, image)
     return p
+
+
+def _index(field):
+    """``int(field)``, refused unless the field is ASCII decimal digits:
+    ``int`` also takes signs, spaces, underscores and other scripts' digits."""
+    value = int(field)
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"{field!r} is not an ASCII decimal index")
+    return value
 
 
 def cycles_order(cycles):

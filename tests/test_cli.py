@@ -2,6 +2,8 @@ import json
 import random
 import time
 
+import pytest
+
 from permsym import ExactMatrix, Perm, build, find_symmetries
 from permsym.cli import main, read_matrix_file
 from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, ZERO
@@ -166,6 +168,13 @@ class TestDecompose:
             capsys, "decompose", "--model", "hubbard2", "--perm", "zap"
         )
         assert code == 3
+
+    def test_perm_takes_ascii_digits_only(self, capsys):
+        # int() reads '\u0663' as 3 and '0_0' as 0
+        for perm, field in (("\u0663,\u0662,\u0661,\u0660", "\u0663"), ("3,2,1,0_0", "0_0")):
+            code, out, err = run_cli(capsys, "decompose", "--model", "hubbard2", "--perm", perm)
+            assert (code, out) == (3, "")
+            assert err == f"error: bad permutation {perm!r}: {field!r} is not an ASCII decimal index\n"
 
 
 class TestModels:
@@ -339,6 +348,17 @@ class TestValidation:
             assert code == 3
             assert err == "error: jobs must be positive\n"
             assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--max-results", "--node-budget", "--jobs"])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, flag):
+        # int() reads '\u0663' as 3 and '1_0' as 10
+        for value in ("\u0663", "1_0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["find", "--model", "hubbard2", flag, value])
+            assert exc.value.code == 2
+            assert f"error: argument {flag}: invalid int value: {value!r}\n" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "find", "--model", "hubbard2", flag, "-3")
+        assert code == 3 and err.startswith("error: ") and "must be positive" in err
 
     def test_jobs_is_checked_after_input_and_config_before_the_search(self, capsys, tmp_path):
         bad_header = tmp_path / "bad.txt"

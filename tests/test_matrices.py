@@ -16,7 +16,7 @@ from permsym import (
     sigma,
     star2,
 )
-from permsym.scalars import ZERO
+from permsym.scalars import ONE, ZERO
 
 from helpers import rand_matrix, rand_scalar, reference_kron, reference_matmul
 
@@ -212,7 +212,7 @@ class TestScalarOps:
         assert -h + h == ExactMatrix.zeros(3)
 
 
-# -- zero-skipping kernels against the naive references ----------------------
+# -- sparse kernels against the naive references -----------------------------
 
 # Mostly zeros, as in the spin-chain matrices; "t" and "-t" let sums cancel.
 SPARSE_POOL = [ZERO] * 6 + [
@@ -234,6 +234,33 @@ def sparse_matrices(rows, cols):
 
 def assert_zeros_shared(m):
     assert all(x is ZERO for x in m.entries() if not x)
+
+
+def by_index(m):
+    """Every entry of m, row-major, read one at a time through ``[r, c]``."""
+    return [m[r, c] for r in range(m.rows) for c in range(m.cols)]
+
+
+def assert_dense_view(m):
+    """``entries()`` and ``row(r)`` agree with ``[r, c]``; zeros are shared."""
+    expected = by_index(m)
+    assert list(m.entries()) == expected
+    assert [x for r in range(m.rows) for x in m.row(r)] == expected
+    assert_zeros_shared(m)
+
+
+def is_hermitian_oracle(m):
+    n = m.rows
+    return all(m[r, c] == m[c, r].conjugate() for r in range(n) for c in range(n))
+
+
+def is_permutation_oracle(m):
+    n = m.rows
+    cells = [(r, c) for r in range(n) for c in range(m.cols)]
+    if m.cols != n or any(m[r, c] and m[r, c] != ONE for r, c in cells):
+        return False
+    ones = [(r, c) for r, c in cells if m[r, c] == ONE]
+    return sorted(r for r, _ in ones) == sorted(c for _, c in ones) == list(range(n))
 
 
 dims = st.integers(min_value=1, max_value=4)
@@ -294,3 +321,115 @@ class TestKernelOracles:
         for m in (a @ b, a + (-a), a - a, kron(a, b) - kron(a, b)):
             assert_zeros_shared(m)
         assert (a @ b)[0, 0] is ZERO and (a @ b)[1, 1] is ZERO
+
+    @seed(3318)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_dense_view_of_every_kernel(self, data):
+        rows, cols = data.draw(dims), data.draw(dims)
+        a = data.draw(sparse_matrices(rows, cols))
+        b = data.draw(sparse_matrices(rows, cols))
+        c = data.draw(sparse_matrices(data.draw(dims), data.draw(dims)))
+        # each result is fresh, so its dense view is built here, after the kernel
+        for m in (a, a + b, a - b, -a, a * parse("t"), a.transpose(), a @ b.transpose(),
+                  kron(a, c), direct_sum(a, c), a.dagger(), a / 3):
+            assert_dense_view(m)
+
+    @seed(5150)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_is_hermitian(self, data):
+        n = data.draw(dims)
+        a = data.draw(sparse_matrices(n, n))
+        herm = ExactMatrix(n, n, [
+            a[r, c] + a[c, r].conjugate() for r in range(n) for c in range(n)
+        ])
+        # an imaginary diagonal entry breaks hermiticity but not symmetry
+        off = by_index(herm)
+        off[0] = off[0] + parse("i")
+        off = ExactMatrix(n, n, off)
+        assert herm.is_hermitian() and is_hermitian_oracle(herm)
+        assert not off.is_hermitian() and not is_hermitian_oracle(off)
+        assert a.is_hermitian() == is_hermitian_oracle(a)
+        assert herm.dagger() == herm
+
+    @seed(6064)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_is_permutation_matrix(self, data):
+        n = data.draw(dims)
+        image = data.draw(st.permutations(range(n)))
+        p = Perm(image).to_matrix()
+        entries = by_index(p)
+        dropped = list(entries)
+        dropped[image[0]] = ZERO
+        variants = [(p, True), (p * 2, False), (ExactMatrix(n, n, dropped), False)]
+        if n > 1:
+            moved, extra = list(entries), list(entries)
+            moved[image[0]], moved[image[1]] = ZERO, ONE  # two 1s in one column
+            extra[image[1]] = ONE  # two 1s in row 0
+            variants += [(ExactMatrix(n, n, moved), False), (ExactMatrix(n, n, extra), False)]
+        variants.append((data.draw(sparse_matrices(n, n)), None))
+        for m, expected in variants:
+            assert m.is_permutation_matrix() == is_permutation_oracle(m)
+            assert expected is None or m.is_permutation_matrix() == expected
+
+    @seed(7331)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_direct_sum(self, data):
+        a = data.draw(sparse_matrices(data.draw(dims), data.draw(dims)))
+        b = data.draw(sparse_matrices(data.draw(dims), data.draw(dims)))
+        rows, cols = a.rows + b.rows, a.cols + b.cols
+        expected = [
+            a[r, c] if r < a.rows and c < a.cols
+            else b[r - a.rows, c - a.cols] if r >= a.rows and c >= a.cols
+            else ZERO
+            for r in range(rows) for c in range(cols)
+        ]
+        got = direct_sum(a, b)
+        assert got == ExactMatrix(rows, cols, expected)
+        assert_dense_view(got)
+
+    @seed(8086)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_conjugate_dagger_substitute_divide(self, data):
+        rows, cols = data.draw(dims), data.draw(dims)
+        a = data.draw(sparse_matrices(rows, cols))
+        # t -> 0 and t -> -t make entries vanish or cancel
+        bindings = {"t": data.draw(st.sampled_from(["0", "-t", "1/2", "a"]))}
+        s = data.draw(st.sampled_from([parse(x) for x in ("3", "-1/2", "2*i", "1 + i")]))
+        cells = [(r, c) for r in range(rows) for c in range(cols)]
+        results = [
+            (a.conjugate(), ExactMatrix(rows, cols, [a[r, c].conjugate() for r, c in cells])),
+            (a.dagger(), ExactMatrix(cols, rows, [
+                a[r, c].conjugate() for c in range(cols) for r in range(rows)
+            ])),
+            (a.substitute(bindings),
+             ExactMatrix(rows, cols, [a[r, c].substitute(bindings) for r, c in cells])),
+            (a / s, ExactMatrix(rows, cols, [a[r, c] / s for r, c in cells])),
+        ]
+        for got, expected in results:
+            assert got == expected
+            assert_dense_view(got)
+
+    @seed(9001)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_equal_matrices_built_by_different_routes_hash_equal(self, data):
+        rows, cols = data.draw(dims), data.draw(dims)
+        a = data.draw(sparse_matrices(rows, cols))
+        b = data.draw(sparse_matrices(data.draw(dims), data.draw(dims)))
+        by_rows = ExactMatrix.from_rows([
+            [a[i, j] * b[k, l] for j in range(a.cols) for l in range(b.cols)]
+            for i in range(a.rows) for k in range(b.rows)
+        ])
+        a2 = data.draw(sparse_matrices(rows, cols))
+        for x, y in ((a - a, ExactMatrix.zeros(rows, cols)), (kron(a, b), by_rows),
+                     (a + a2, a2 + a)):
+            assert x == y and hash(x) == hash(y)
+
+    def test_divide_by_zero_raises_on_a_zero_matrix(self):
+        with pytest.raises(ZeroDivisionError):
+            ExactMatrix.zeros(2) / 0

@@ -33,6 +33,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             Perm.parse("3,1,x")
 
+    def test_parse_takes_ascii_digits_only(self):
+        # int() also reads other scripts' digits, underscores, signs and spaces
+        for text in ("\u0663,1,2,0", "3,1,2,0_0", "+3,1,2,0", "3, 1,2,0"):
+            with pytest.raises(ValueError, match="is not an ASCII decimal index"):
+                Perm.parse(text)
+
     def test_compose_then_inverse(self, rng):
         for _ in range(20):
             p = rand_perm(rng, 6)
