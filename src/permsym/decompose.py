@@ -4,16 +4,22 @@ An involution P yields the projector pair (I+P)/2, (I-P)/2.  Subspace bases
 are primitive integer vectors (entry gcd 1, first nonzero entry positive),
 which keeps everything inside exact arithmetic; unit-norm versions of such
 vectors would only differ by irrational scalar factors.
+
+Every question here is answered by one exact Gauss-Jordan elimination over
+sparse rows (``_rref``): the rank of a basis, the column space of a
+projector, whether a span is invariant, and the block form, which solves
+``S X = H S`` for the matrix ``S`` whose columns are the basis vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+from operator import index
 
 from .matrices import DimensionError, ExactMatrix
-from .scalars import ONE, ZERO, as_scalar, rational
+from .scalars import ZERO, PolyScalar, as_scalar, rational
 
 
 @dataclass(frozen=True)
@@ -28,12 +34,13 @@ class SubspaceBasis:
     __slots__ = ("vectors",)
 
     def __init__(self, vectors):
-        vectors = tuple(tuple(int(x) for x in v) for v in vectors)
+        vectors = tuple(tuple(_integer(x) for x in v) for v in vectors)
         if vectors:
             n = len(vectors[0])
             if any(len(v) != n for v in vectors):
                 raise ValueError("basis vectors of unequal length")
-            if _rank([[Fraction(x) for x in v] for v in vectors]) != len(vectors):
+            rows = [{k: x for k, x in enumerate(v) if x} for v in vectors]
+            if len(_rref(rows, n)) != len(vectors):
                 raise ValueError("basis vectors are linearly dependent")
         object.__setattr__(self, "vectors", vectors)
 
@@ -56,6 +63,13 @@ class SubspaceBasis:
         return f"SubspaceBasis({[list(v) for v in self.vectors]})"
 
 
+def _integer(x):
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"basis entry {x!r} is not an integer") from None
+
+
 def projectors_from_involution(p):
     """Exact (I+P)/2 and (I-P)/2 for a permutation with p*p = identity."""
     if p.order() > 2:
@@ -67,89 +81,58 @@ def projectors_from_involution(p):
     return ProjectorPair(pi1=(ident + pm) * half, pi2=(ident - pm) * half)
 
 
-# -- exact rational elimination helpers ---------------------------------
+# -- exact sparse elimination ---------------------------------------------
 
 
-def _rref(rows):
+def _rref(rows, ncols):
     """Reduced row echelon form in place; returns the list of pivot columns.
 
-    Rows are replaced, never mutated, so callers may pass rows they share.
-    Scaling and elimination only touch the pivot row's non-zero columns; a
-    pivot that is already 1 is not scaled.
+    A row is a dict from a key to a non-zero int, Fraction or GaussRational.
+    Pivots are taken from the keys 0..ncols-1 in order; any other key is a
+    right-hand side that rides along.  The pivot rows end up first, each
+    scaled so that its pivot is 1; the list and its dicts change in place.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        support = [(t, y) for t, y in enumerate(rows[r]) if y != 0]
-        if rows[r][c] != 1:
-            inv = 1 / rows[r][c]
-            support = [(t, y * inv) for t, y in support]
-            row = list(rows[r])
-            for t, y in support:
-                row[t] = y
-            rows[r] = row
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                row = list(rows[k])
-                for t, y in support:
-                    row[t] = row[t] - f * y
-                rows[k] = row
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == len(rows):
             break
+        k = next((k for k in range(r, len(rows)) if c in rows[k]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        pivot = rows[r]
+        if pivot[c] != 1:
+            inv = Fraction(1) / pivot[c]
+            pivot = rows[r] = {t: y * inv for t, y in pivot.items()}
+        for row in rows:
+            f = row.get(c)
+            if f is None or row is pivot:
+                continue
+            for t, y in pivot.items():
+                fy = y if f == 1 else f * y
+                v = row.get(t)
+                v = -fy if v is None else v - fy
+                if v:
+                    row[t] = v
+                else:
+                    del row[t]
+        pivots.append(c)
     return pivots
 
 
-def _rank(rows):
-    return len(_rref([list(r) for r in rows]))
+def _primitive(row, n):
+    """The length-n integer vector of a sparse RREF row, scaled to gcd 1.
 
-
-def _primitive(vec):
-    """Scale a rational vector to integers with gcd 1, first nonzero positive.
-
-    Zeros stay 0 and are left out of the lcm, the scaling and the gcd.
+    The row leads with its pivot 1, so scaling by the lcm of the denominators
+    gives a positive lead, and for each prime of that lcm the entry whose
+    denominator holds its highest power is left prime to it: the gcd is 1.
     """
-    nonzero = [(k, x) for k, x in enumerate(vec) if x]
-    denom = lcm(*(x.denominator for _, x in nonzero))
-    scaled = [(k, x.numerator * (denom // x.denominator)) for k, x in nonzero]
-    g = gcd(*(x for _, x in scaled))
-    if scaled and scaled[0][1] < 0:
-        g = -g
-    ints = [0] * len(vec)
-    for k, x in scaled:
-        ints[k] = x // g
+    denom = lcm(*(x.denominator for x in row.values()))
+    ints = [0] * n
+    for k, x in row.items():
+        ints[k] = x.numerator * (denom // x.denominator)
     return tuple(ints)
-
-
-def _constant_fraction_matrix(m):
-    """Entries of a parameter-free matrix as Fractions; rejects imaginary parts."""
-    out = []
-    zero = Fraction(0)
-    e = m.entries()
-    for r in range(m.rows):
-        row = []
-        for c in range(m.cols):
-            x = e[r * m.cols + c]
-            if x is ZERO:
-                row.append(zero)
-                continue
-            if not x.is_constant():
-                raise ValueError(f"parametric entry at ({r}, {c}): {x}")
-            v = x.constant_value()
-            if v.im:
-                raise ValueError(f"non-real constant entry at ({r}, {c}): {x}")
-            row.append(v.re)
-        out.append(row)
-    return out
 
 
 def column_space_basis(m):
@@ -158,60 +141,88 @@ def column_space_basis(m):
     Deterministic: the basis is the reduced row echelon form of the
     transposed matrix, each row scaled primitive.
     """
-    rows = _constant_fraction_matrix(m)
-    cols = [[rows[r][c] for r in range(m.rows)] for c in range(m.cols)]
-    _rref(cols)
-    basis = [_primitive(v) for v in cols if any(v)]
-    return SubspaceBasis(basis)
+    cols = [{} for _ in range(m.cols)]
+    e = m.entries()
+    for r in range(m.rows):
+        for c in range(m.cols):
+            x = e[r * m.cols + c]
+            if x is ZERO:
+                continue
+            if not x.is_constant():
+                raise ValueError(f"parametric entry at ({r}, {c}): {x}")
+            v = x.constant_value()
+            if v.im:
+                raise ValueError(f"non-real constant entry at ({r}, {c}): {x}")
+            cols[c][r] = v.re
+    rank = len(_rref(cols, m.rows))
+    return SubspaceBasis(_primitive(v, m.rows) for v in cols[:rank])
 
 
-def _monomial_components(vec):
-    """Split a PolyScalar vector into per-monomial rational vectors.
+def _image_rows(h, vectors):
+    """Row r of ``H S`` for the matrix ``S`` with the given integer columns,
+    as a dict from (column, monomial) to the non-zero Gaussian-rational
+    coefficient of that monomial in entry (r, column)."""
+    n = h.rows
+    cover = [[] for _ in range(n)]
+    for c, v in enumerate(vectors):
+        for u, x in enumerate(v):
+            if x:
+                cover[u].append((c, x))
+    e = h.entries()
+    out = []
+    for r in range(n):
+        row = {}
+        for u, y in enumerate(e[r * n : (r + 1) * n]):
+            if y is ZERO:
+                continue
+            for mono, coeff in y.terms():
+                for c, x in cover[u]:
+                    xy = coeff if x == 1 else coeff * x
+                    prev = row.get((c, mono))
+                    row[c, mono] = xy if prev is None else prev + xy
+        out.append({key: v for key, v in row.items() if v})
+    return out
 
-    Returns {monomial: (real part vector, imaginary part vector)}.
-    """
-    comps = {}
-    n = len(vec)
-    for idx, x in enumerate(vec):
-        for mono, coeff in x.terms():
-            re, im = comps.setdefault(mono, ([Fraction(0)] * n, [Fraction(0)] * n))
-            re[idx] = coeff.re
-            im[idx] = coeff.im
-    return comps
+
+def _check_basis_length(basis, n):
+    if len(basis) and len(basis.vectors[0]) != n:
+        raise DimensionError(
+            f"basis vectors of length {len(basis.vectors[0])} do not match size {n}"
+        )
 
 
 def is_invariant_subspace(h, basis):
     """True iff H maps span(basis) into itself.
 
     Coefficients in the combinations may be polynomials in the parameters, so
-    the span is invariant exactly when the real and imaginary part of every
-    monomial of every image lies in it: one elimination over the basis rows
-    and all those part vectors finds no rank beyond the basis.
+    the span is invariant exactly when the coefficient vector of every
+    monomial in every image lies in it: one elimination over the basis rows
+    and those vectors finds no rank beyond the basis.  The basis is real, so
+    a Gaussian-rational vector lies in its span exactly when its real and
+    imaginary parts do.
     """
     if not h.is_square():
         raise DimensionError("need a square matrix")
-    if len(basis) and len(basis.vectors[0]) != h.rows:
-        raise DimensionError(
-            f"basis vectors of length {len(basis.vectors[0])} do not match size {h.rows}"
-        )
-    rows = [[Fraction(x) for x in v] for v in basis]
-    # row c of (H S)^T is the image of basis vector c
-    s = ExactMatrix(h.rows, len(basis), [x for row in zip(*basis) for x in row])
-    images = (h @ s).transpose()
-    for c in range(len(basis)):
-        for re, im in _monomial_components(images.row(c)).values():
-            rows += [re, im]
-    return _rank(rows) == len(basis)
+    _check_basis_length(basis, h.rows)
+    images = {}
+    for r, row in enumerate(_image_rows(h, basis.vectors)):
+        for key, v in row.items():
+            images.setdefault(key, {})[r] = v
+    rows = [{k: x for k, x in enumerate(v) if x} for v in basis]
+    rows += images.values()
+    return len(_rref(rows, h.rows)) == len(basis)
 
 
 def block_form(h, basis1, basis2):
     """H rewritten in the basis b1 + b2, exactly; blocks sized |b1| and |b2|.
 
-    Computes ``S^-1 (H S)`` for the matrix ``S`` whose columns are the basis
-    vectors.  Since ``S`` is invertible, the result is block diagonal exactly
-    when both spans are H-invariant, so a non-zero off-block entry is the
-    invariance test.  Raises ValueError if the vectors do not form a full
-    basis or the two subspaces are not H-invariant.
+    Solves ``S X = H S`` for the matrix ``S`` whose columns are the basis
+    vectors, by one elimination of the rows of ``[S | H S]``; the right half
+    is keyed by (column, monomial), so each entry of ``X`` comes out as its
+    Gaussian-rational monomial coefficients.  Since ``S`` is invertible, ``X``
+    is block diagonal exactly when both spans are H-invariant, so a non-zero
+    off-block entry is the invariance test.  Raises ValueError if the vectors
+    do not form a full basis or the two subspaces are not H-invariant.
     """
     if not h.is_square():
         raise DimensionError("need a square matrix")
@@ -220,54 +231,27 @@ def block_form(h, basis1, basis2):
     if len(vectors) != n:
         raise ValueError(f"{len(vectors)} basis vectors for dimension {n}: not a full basis")
     for basis in (basis1, basis2):
-        if len(basis) and len(basis.vectors[0]) != n:
-            raise DimensionError(
-                f"basis vectors of length {len(basis.vectors[0])} do not match size {n}"
-            )
-    s_inv = _invert_rational(vectors, n)
-    if s_inv is None:
+        _check_basis_length(basis, n)
+    rows = _image_rows(h, vectors)
+    for c, v in enumerate(vectors):
+        for r, x in enumerate(v):
+            if x:
+                rows[r][c] = x
+    if _rref(rows, n) != list(range(n)):
         raise ValueError("basis vectors are linearly dependent: not a full basis")
-    shared = {1: ONE}
-    s = _shared_matrix([[vectors[c][r] for c in range(n)] for r in range(n)], shared)
-    result = _shared_matrix(s_inv, shared) @ (h @ s)
 
     k = len(basis1)
-    e = result.entries()
-    for r in range(n):
-        off_block = e[r * n + k : (r + 1) * n] if r < k else e[r * n : r * n + k]
-        if any(off_block):
-            raise ValueError("subspaces are not invariant under the matrix")
-    return result
-
-
-def _shared_matrix(rows, shared):
-    """Exact square matrix of rational rows; equal entries share one PolyScalar."""
-    entries = []
-    for row in rows:
-        for q in row:
-            if not q:
-                entries.append(ZERO)
-                continue
-            x = shared.get(q)
-            if x is None:
-                x = shared[q] = rational(q)
-            entries.append(x)
-    return ExactMatrix(len(rows), len(rows), entries)
-
-
-def _invert_rational(column_vectors, n):
-    """Rows of the exact inverse of the matrix whose columns are the given
-    vectors, as Fractions; None if that matrix is singular."""
-    zero, one = Fraction(0), Fraction(1)
-    aug = [
-        [Fraction(v[r]) if v[r] else zero for v in column_vectors]
-        + [one if c == r else zero for c in range(n)]
-        for r in range(n)
-    ]
-    pivots = _rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in aug]
+    out = []
+    for r, row in enumerate(rows):
+        terms = {}
+        for key, coeff in row.items():
+            if isinstance(key, tuple):
+                c, mono = key
+                if (r < k) != (c < k):
+                    raise ValueError("subspaces are not invariant under the matrix")
+                terms.setdefault(c, []).append((mono, coeff))
+        out.append({c: PolyScalar(t) for c, t in terms.items()})
+    return ExactMatrix._trusted(n, n, tuple(out))
 
 
 def verify_eigenpair(h, eigenvalue, vector):

@@ -39,10 +39,8 @@ def sigma_at(k, j, n):
     """
     if not 1 <= j <= n:
         raise ModelError(f"site {j} out of range 1..{n}")
-    out = sigma(k) if j == 1 else ExactMatrix.identity(2)
-    for site in range(2, n + 1):
-        out = kron(out, sigma(k) if site == j else ExactMatrix.identity(2))
-    return out
+    left, right = ExactMatrix.identity(2 ** (j - 1)), ExactMatrix.identity(2 ** (n - j))
+    return kron(kron(left, sigma(k)), right)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -23,7 +24,9 @@ from permsym import (
 )
 
 from helpers import (
+    _rref as reference_rref,
     constant_kernel_basis,
+    rand_scalar,
     rand_symmetric,
     reference_search,
     reference_similarity,
@@ -107,6 +110,19 @@ class TestColumnSpaceBasis:
     def test_dependent_input_vectors_rejected(self):
         with pytest.raises(ValueError):
             SubspaceBasis([(1, 0), (2, 0)])
+
+    def test_basis_entries_must_be_integers(self):
+        # int() would read these as (0, 1), (0, 1, 0, 0), (1, 0) and (1, 0)
+        for vector, entry in (
+            ((Fraction(1, 2), 1), "Fraction(1, 2)"),
+            ((0.9, 1, 0, 0), "0.9"),
+            (("1", 0), "'1'"),
+            ((1.0, 0), "1.0"),
+        ):
+            with pytest.raises(ValueError) as err:
+                SubspaceBasis([(0, 1), vector])
+            assert str(err.value) == f"basis entry {entry} is not an integer"
+        assert SubspaceBasis([(0, 1), (-2, 0)]).vectors == ((0, 1), (-2, 0))
 
 
 class TestInvariantSubspace:
@@ -204,19 +220,35 @@ def involution_split(p):
     return column_space_basis(pair.pi1), column_space_basis(pair.pi2)
 
 
-def rand_symmetric_with_involution(rng, n):
-    """H + P H P^T for a random symmetric H and a random involution P, so that
-    the reference search usually has a non-trivial involution to find."""
-    h = rand_symmetric(rng, n, small_entry_pool())
+def planted_involution(rng, n):
+    """A random involution that swaps each of a random pairing's pairs with
+    probability 0.7."""
     order = list(range(n))
     rng.shuffle(order)
     image = list(range(n))
     for a, b in zip(order[0::2], order[1::2]):
         if rng.random() < 0.7:
             image[a], image[b] = b, a
-    return ExactMatrix(n, n, [
-        h[u, v] + h[image[u], image[v]] for u in range(n) for v in range(n)
-    ])
+    return Perm(image)
+
+
+def rand_with_involution(rng, n, complex_entries):
+    """(H, P): H is hermitian and P-invariant.  Real H starts from the small
+    symmetric pool; complex H from A + A^dagger with random Gaussian-rational
+    polynomial entries, so blocks get imaginary and multi-monomial entries."""
+    if complex_entries:
+        a = ExactMatrix(n, n, [rand_scalar(rng) for _ in range(n * n)])
+        h = a + a.dagger()
+    else:
+        h = rand_symmetric(rng, n, small_entry_pool())
+    p = planted_involution(rng, n)
+    return ExactMatrix(n, n, [h[u, v] + h[p(u), p(v)] for u in range(n) for v in range(n)]), p
+
+
+def rand_symmetric_with_involution(rng, n):
+    """H + P H P^T for a random symmetric H and a random involution P, so that
+    the reference search usually has a non-trivial involution to find."""
+    return rand_with_involution(rng, n, complex_entries=False)[0]
 
 
 def random_full_basis(rng, n):
@@ -329,3 +361,84 @@ class TestIsing6ClosedForm:
                 for sj in support
             ]
             assert block_form(h, b1, b2) == ExactMatrix(64, 64, expected)
+
+
+class TestGaussianBlockForm:
+    def test_catalog_involutions_with_imaginary_and_multi_monomial_entries(self):
+        for name in ("triple_spin", "twospin_H"):
+            h = build(name)
+            for p in find_symmetries(h).perms:
+                if p.order() == 2:
+                    b1, b2 = involution_split(p)
+                    assert block_form(h, b1, b2) == reference_similarity(h, list(b1) + list(b2))
+
+    def test_random_hermitian_matches_fraction_similarity(self):
+        rng = random.Random(3307)
+        imaginary = 0
+        for _ in range(30):
+            h, p = rand_with_involution(rng, rng.randint(2, 5), complex_entries=True)
+            b1, b2 = involution_split(p)
+            blocks = block_form(h, b1, b2)
+            assert blocks == reference_similarity(h, list(b1) + list(b2))
+            imaginary += any(coeff.im for x in blocks.entries() for _, coeff in x.terms())
+        assert imaginary >= 20
+
+
+class TestIndependentOracles:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_invariance_read_off_the_similarity(self, complex_entries):
+        # span(b1) is invariant iff the lower-left block of S^-1 H S is zero,
+        # span(b2) iff the upper-right one is
+        rng = random.Random(5119 + complex_entries)
+        outcomes = {True: 0, False: 0}
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            h, p = rand_with_involution(rng, n, complex_entries)
+            if rng.random() < 0.5:
+                vectors = [v for b in involution_split(p) for v in b]
+                rng.shuffle(vectors)
+            else:
+                vectors = random_full_basis(rng, n)
+            k = rng.randint(0, n)
+            b1, b2 = SubspaceBasis(vectors[:k]), SubspaceBasis(vectors[k:])
+            x = reference_similarity(h, vectors)
+            lower = all(x[r, c].is_zero() for r in range(k, n) for c in range(k))
+            upper = all(x[r, c].is_zero() for r in range(k) for c in range(k, n))
+            assert is_invariant_subspace(h, b1) == lower
+            assert is_invariant_subspace(h, b2) == upper
+            if lower and upper:
+                assert block_form(h, b1, b2) == x
+            else:
+                with pytest.raises(ValueError, match="not invariant"):
+                    block_form(h, b1, b2)
+            outcomes[lower and upper] += 1
+        assert min(outcomes.values()) >= 5
+
+    def test_column_space_basis_is_the_primitive_rref_of_the_transpose(self):
+        rng = random.Random(8093)
+        deficient = zero_columns = negative_lead = 0
+        for _ in range(60):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            gens = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows)]
+                for _ in range(rng.randint(0, min(rows, cols)))
+            ]
+            columns = []
+            for _ in range(cols):
+                coeffs = [rng.randint(-2, 2) for _ in gens] if rng.random() < 0.8 else []
+                columns.append([sum(a * g[r] for a, g in zip(coeffs, gens)) for r in range(rows)])
+            m = ExactMatrix(rows, cols, [columns[c][r] for r in range(rows) for c in range(cols)])
+            transpose = [[Fraction(x) for x in col] for col in columns]
+            rank = len(reference_rref(transpose))
+            expected = []
+            for v in transpose[:rank]:
+                ints = [int(x * lcm(*(y.denominator for y in v))) for x in v]
+                g = gcd(*ints)
+                if next(x for x in ints if x) < 0:
+                    g = -g
+                expected.append(tuple(x // g for x in ints))
+            assert column_space_basis(m) == SubspaceBasis(expected)
+            deficient += rank < min(rows, cols)
+            zero_columns += any(not any(col) for col in columns)
+            negative_lead += any(next((x for x in col if x), 0) < 0 for col in columns)
+        assert deficient >= 10 and zero_columns >= 10 and negative_lead >= 10
