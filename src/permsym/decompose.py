@@ -19,7 +19,7 @@ from math import lcm
 from operator import index
 
 from .matrices import DimensionError, ExactMatrix
-from .scalars import ZERO, PolyScalar, as_scalar, rational
+from .scalars import PolyScalar, as_scalar, rational
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,8 @@ def column_space_basis(m):
     transposed matrix, each row scaled primitive.
     """
     cols = [{} for _ in range(m.cols)]
-    e = m.entries()
-    for r in range(m.rows):
-        for c in range(m.cols):
-            x = e[r * m.cols + c]
-            if x is ZERO:
-                continue
+    for r, row in enumerate(m._r):
+        for c, x in sorted(row.items()):
             if not x.is_constant():
                 raise ValueError(f"parametric entry at ({r}, {c}): {x}")
             v = x.constant_value()
@@ -168,13 +164,10 @@ def _image_rows(h, vectors):
         for u, x in enumerate(v):
             if x:
                 cover[u].append((c, x))
-    e = h.entries()
     out = []
-    for r in range(n):
+    for h_row in h._r:
         row = {}
-        for u, y in enumerate(e[r * n : (r + 1) * n]):
-            if y is ZERO:
-                continue
+        for u, y in h_row.items():
             for mono, coeff in y.terms():
                 for c, x in cover[u]:
                     xy = coeff if x == 1 else coeff * x
@@ -260,8 +253,9 @@ def verify_eigenpair(h, eigenvalue, vector):
         raise DimensionError("need a square matrix")
     if len(vector) != h.rows:
         raise DimensionError(f"vector length {len(vector)} does not match size {h.rows}")
+    vector = [_integer(x) for x in vector]
     if not any(vector):
         raise ValueError("zero vector is not an eigenvector")
-    image = (h @ ExactMatrix(h.rows, 1, vector)).entries()
+    image = h @ ExactMatrix(h.rows, 1, vector)
     lam = as_scalar(eigenvalue)
-    return all(image[r] == lam * Fraction(vector[r]) for r in range(h.rows))
+    return all(image[r, 0] == lam * x for r, x in enumerate(vector))

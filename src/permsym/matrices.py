@@ -3,10 +3,11 @@ multiplication, transpose, conjugate transpose, Kronecker product, direct sum
 and the 2x2 star product.  All matrices are immutable.
 
 A matrix stores its non-zeros only, as one dict per row mapping a column to a
-non-zero PolyScalar.  A row dict is never changed once a matrix holds it, so
-matrices may share rows.  ``entries()`` and ``row(r)`` read a dense row-major
-view in which every zero is the shared ``ZERO`` singleton; the view is built
-the first time it is read and then kept.  ``@`` is a row-wise sparse product
+non-zero PolyScalar; there is no other storage.  A row dict is never changed
+once a matrix holds it, so matrices may share rows, and the modules of this
+package read and build the dicts directly.  ``entries()`` and ``row(r)`` build
+a dense row-major tuple on each call, in which every zero is the shared
+``ZERO`` singleton.  ``@`` is a row-wise sparse product
 (Gustavson, ACM TOMS 1978): each non-zero ``a[r, t]``, in ascending ``t``,
 adds ``a[r, t] * b[t, c]`` over the non-zeros of row ``t`` of ``b`` into the
 row's accumulator.  Products with the ``ONE`` singleton return the other
@@ -26,7 +27,7 @@ _set = object.__setattr__
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "_r", "_d", "_hash")
+    __slots__ = ("rows", "cols", "_r")
 
     def __init__(self, rows, cols, entries):
         entries = tuple(as_scalar(x) or ZERO for x in entries)
@@ -40,8 +41,6 @@ class ExactMatrix:
             {c: x for c, x in enumerate(entries[r * cols : (r + 1) * cols]) if x is not ZERO}
             for r in range(rows)
         ))
-        _set(self, "_d", entries)
-        _set(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, rows, cols, row_dicts):
@@ -50,8 +49,6 @@ class ExactMatrix:
         _set(m, "rows", rows)
         _set(m, "cols", cols)
         _set(m, "_r", row_dicts)
-        _set(m, "_d", None)
-        _set(m, "_hash", None)
         return m
 
     def __setattr__(self, name, value):
@@ -88,18 +85,15 @@ class ExactMatrix:
         return self._r[r].get(c, ZERO)
 
     def row(self, r):
-        return self.entries()[r * self.cols : (r + 1) * self.cols]
+        """Row ``r`` as a tuple; every zero is ``ZERO``."""
+        out = [ZERO] * self.cols
+        for c, x in self._r[r].items():
+            out[c] = x
+        return tuple(out)
 
     def entries(self):
         """All entries, row-major; every zero is ``ZERO``."""
-        if self._d is None:
-            dense = [ZERO] * (self.rows * self.cols)
-            for r, row in enumerate(self._r):
-                base = r * self.cols
-                for c, x in row.items():
-                    dense[base + c] = x
-            _set(self, "_d", tuple(dense))
-        return self._d
+        return tuple(x for r in range(self.rows) for x in self.row(r))
 
     @property
     def shape(self):
@@ -207,9 +201,8 @@ class ExactMatrix:
         return self.shape == other.shape and self._r == other._r
 
     def __hash__(self):
-        if self._hash is None:
-            _set(self, "_hash", hash((self.rows, self.cols, self.entries())))
-        return self._hash
+        # equal matrices hold equal dicts, whatever order their keys went in
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._r)))
 
     def __repr__(self):
         return f"<ExactMatrix {self.rows}x{self.cols}>"

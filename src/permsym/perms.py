@@ -9,16 +9,21 @@ homomorphism: ``(p * q).to_matrix() == p.to_matrix() @ q.to_matrix()``.
 from __future__ import annotations
 
 from math import lcm
+from operator import index
 
 from .matrices import ExactMatrix
-from .scalars import ONE, ZERO
+from .scalars import ONE
 
 
 class Perm:
     __slots__ = ("image",)
 
     def __init__(self, image):
-        image = tuple(int(x) for x in image)
+        image = tuple(image)
+        try:
+            image = tuple(map(index, image))
+        except TypeError:
+            raise ValueError(f"permutation entries must be integers: {image}") from None
         if sorted(image) != list(range(len(image))):
             raise ValueError(f"not a permutation of 0..{len(image) - 1}: {image}")
         object.__setattr__(self, "image", image)
@@ -90,17 +95,14 @@ class Perm:
     def to_matrix(self):
         """The 0/1 matrix with a 1 at (u, image[u]) for every u."""
         n = len(self.image)
-        entries = [ZERO] * (n * n)
-        for u, j in enumerate(self.image):
-            entries[u * n + j] = ONE
-        return ExactMatrix(n, n, entries)
+        return ExactMatrix._trusted(n, n, tuple({j: ONE} for j in self.image))
 
     @classmethod
     def from_matrix(cls, m):
         """Inverse of to_matrix; rejects anything but a permutation matrix."""
         if not m.is_permutation_matrix():
             raise ValueError("not a permutation matrix")
-        return cls([m.row(u).index(ONE) for u in range(m.rows)])
+        return cls(next(iter(row)) for row in m._r)
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.image == other.image

@@ -64,7 +64,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
-from operator import itemgetter
 from typing import Optional
 
 from .perms import Perm
@@ -107,25 +106,33 @@ def is_symmetry(h, p):
     n = h.rows
     if len(p) != n:
         raise ValueError(f"permutation length {len(p)} does not match matrix size {n}")
-    if n == 1:
-        return True  # the only permutation of one index is the identity
     img = p.image
-    e = h.entries()
-    # row p(u) permuted by p against row u; tuple comparison tests ``x is y``
-    # before ``x == y``, entry by entry
-    permuted = itemgetter(*img)
-    for u in range(n):
-        pu = img[u] * n
-        if permuted(e[pu:pu + n]) != e[u * n:(u + 1) * n]:
+    rows = h._r
+    # each non-zero (v, x) of row u against entry p(v) of row p(u).  Once all
+    # match, p maps the finite set of non-zero positions into itself, hence
+    # onto it, so no zero needs a check; unequal row lengths reject early.
+    for u, row in enumerate(rows):
+        target = rows[img[u]]
+        if len(target) != len(row):
             return False
+        for v, x in row.items():
+            y = target.get(img[v])
+            if y is not x and y != x:
+                return False
     return True
 
 
 def _color_table(h):
+    """One small integer per distinct entry of ``h``, zero as colour 0."""
     ids = {}
     n = h.rows
-    flat = [ids.setdefault(x, len(ids)) for x in h.entries()]
-    return tuple(tuple(flat[u * n:(u + 1) * n]) for u in range(n))
+    table = []
+    for row in h._r:
+        out = [0] * n
+        for v, x in row.items():
+            out[v] = ids.setdefault(x, len(ids) + 1)
+        table.append(tuple(out))
+    return tuple(table)
 
 
 def _refine(colors, cols):

@@ -1,0 +1,33 @@
+"""The benchmark harness in ``bench/`` looks permsym's names up by string and
+at call time, so a renamed or deleted function would only show when the
+benchmark runs.  These tests import it from the repository root instead."""
+
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench import spans, workloads  # noqa: E402
+
+
+def test_every_traced_name_resolves():
+    targets = spans._targets()
+    assert targets
+    for module, attr, _, _ in targets:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_api_requests_run_on_a_small_chain():
+    params = {"L": 4, "a": "a", "b": "b"}
+    code, report = workloads.api_find(SimpleNamespace(params=params), workloads.CHAIN_OPS)
+    assert code == 0 and report["search"]["count"] == 16
+    flip = dict(workloads.chain_involutions(4))["spin flip"]
+    req = SimpleNamespace(params={**params, "involution": list(flip.image)})
+    code, report = workloads.api_decompose(req, workloads.CHAIN_OPS)
+    _, basis1, basis2 = workloads.involution_blocks(flip.image)
+    assert code == 0
+    assert report["decomposition"]["basis1"] == basis1
+    assert report["decomposition"]["basis2"] == basis2

@@ -201,6 +201,17 @@ class TestEigenpairs:
         with pytest.raises(ValueError):
             verify_eigenpair(fermi_equal, parse("2*k+t"), (1, 0))
 
+    def test_vector_entries_must_be_integers(self, fermi_equal):
+        # each of these is (1, 0, -1) or a multiple of it, read another way
+        for vector, entry in (
+            (("1", "0", "-1"), "'1'"),
+            ((Fraction(1, 2), 0, Fraction(-1, 2)), "Fraction(1, 2)"),
+            ((1.0, 0, -1), "1.0"),
+        ):
+            with pytest.raises(ValueError) as err:
+                verify_eigenpair(fermi_equal, parse("2*k+t"), vector)
+            assert str(err.value) == f"basis entry {entry} is not an integer"
+
     def test_double_eigenvalue_kernel(self, fermi_equal):
         shifted = fermi_equal - ExactMatrix.identity(3) * parse("2*k+t")
         kernel = constant_kernel_basis(shifted)

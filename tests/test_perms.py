@@ -39,6 +39,13 @@ class TestBasics:
             with pytest.raises(ValueError, match="is not an ASCII decimal index"):
                 Perm.parse(text)
 
+    def test_entries_must_be_integers(self):
+        # int() would read these as 0,1 and 1,0
+        for image in ([0.9, 1.2], ["1", "0"], [1.0, 0]):
+            with pytest.raises(ValueError, match="permutation entries must be integers"):
+                Perm(image)
+        assert Perm([True, False]).image == (1, 0)
+
     def test_compose_then_inverse(self, rng):
         for _ in range(20):
             p = rand_perm(rng, 6)

@@ -106,6 +106,40 @@ def nearly_symmetric(draw):
     return ExactMatrix.from_rows(rows), p
 
 
+@st.composite
+def sparse_nearly_symmetric(draw):
+    """(H, p): H is mostly zeros and constant on the orbits of index pairs
+    under p, so p is a symmetry, unless one edit then breaks it.  Setting an
+    entry can change a row's non-zero count.  Moving an entry (a, b), which
+    is non-zero unless H is all zeros, onto another column of its row, or
+    swapping it with any entry, keeps every row's count or trades counts
+    between two rows."""
+    n = draw(st.integers(1, 12))
+    p = Perm(draw(st.permutations(range(n))))
+    value = st.sampled_from((0, 0, 0, 0, 1, 2))
+    entries = {}
+    for u in range(n):
+        for v in range(n):
+            if (u, v) in entries:
+                continue
+            x, y, fill = u, v, draw(value)
+            while (x, y) not in entries:
+                entries[x, y] = fill
+                x, y = p(x), p(y)
+    nonzero = [k for k in sorted(entries) if entries[k]] or sorted(entries)
+    a, b = draw(st.sampled_from(nonzero))
+    c, d = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    edit = draw(st.sampled_from(("none", "set", "move", "swap")))
+    if edit == "set":
+        entries[c, d] = draw(st.integers(0, 2))
+    elif edit == "move":
+        entries[a, b], entries[a, c] = entries[a, c], entries[a, b]
+    elif edit == "swap":
+        entries[a, b], entries[c, d] = entries[c, d], entries[a, b]
+    rows = [[entries[u, v] for v in range(n)] for u in range(n)]
+    return ExactMatrix.from_rows(rows), p
+
+
 class TestIsSymmetryProperty:
     @seed(2718)
     @PROPERTY_SETTINGS
@@ -114,6 +148,14 @@ class TestIsSymmetryProperty:
         h, p = case
         assert is_symmetry(h, p) == reference_is_symmetry(h, p)
         assert is_symmetry(h, Perm.identity(h.rows))
+
+    @seed(2719)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(sparse_nearly_symmetric())
+    def test_sparse_matches_entrywise_loop(self, case):
+        h, p = case
+        assert is_symmetry(h, p) == reference_is_symmetry(h, p)
+        assert is_symmetry(h, p.inverse()) == reference_is_symmetry(h, p.inverse())
 
 
 class TestFindSymmetries:
@@ -340,6 +382,19 @@ def color_matrices(draw, max_n=6):
                     entries[y, x] = value
                 x, y = g[x], g[y]
     return ExactMatrix.from_rows([[entries[u, v] for v in range(n)] for u in range(n)])
+
+
+class TestColorTable:
+    @seed(2720)
+    @PROPERTY_SETTINGS
+    @given(color_matrices(max_n=12))
+    def test_equal_colours_exactly_for_equal_entries(self, h):
+        colors = _color_table(h)
+        cells = [(h[u, v], colors[u][v]) for u in range(h.rows) for v in range(h.cols)]
+        for x, a in cells:
+            for y, b in cells:
+                assert (x == y) == (a == b)
+        assert all(c == 0 for x, c in cells if not x)
 
 
 def relabel(h, sigma):
