@@ -16,15 +16,17 @@ All indices in input and output are 0-based.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from itertools import chain
+from json.encoder import JSONEncoder, encode_basestring_ascii
+from operator import itemgetter
 
 from . import groups
 from .decompose import block_form, column_space_basis, projectors_from_involution
 from .matrices import ExactMatrix
 from .models import CATALOG, ModelError, build, list_models
-from .perms import Perm, cycles_order, format_cycles
+from .perms import Perm, cycle_summary
 from .scalars import ParseError, parse
 from .search import (
     MODE_LEAF_CHECK,
@@ -156,9 +158,14 @@ def _search_config(args):
     )
 
 
-def _perm_record(p):
-    cycles = p.cycles()
-    return {"image": list(p.image), "cycles": format_cycles(cycles), "order": cycles_order(cycles)}
+def _perm_records(perms):
+    """One report record per permutation; every permutation has one length."""
+    labels = [str(u) for u in range(len(perms[0]))] if perms else []
+    records = []
+    for p in perms:
+        cycles, order = cycle_summary(p.image, labels)
+        records.append({"image": list(p.image), "cycles": cycles, "order": order})
+    return records
 
 
 def _run_search(matrix, args):
@@ -194,9 +201,93 @@ def _budget_exit(result, cfg):
     )
 
 
+# -- JSON rendering --------------------------------------------------------
+#
+# ``render_json`` gives the bytes that the stdlib's ``json.dumps`` gives with
+# ``indent=2`` and ``sort_keys=True``.  With an indent the stdlib falls back
+# to its pure-Python encoder; here the layout of dicts and lists is done in
+# Python, a column of values at a time, and the scalars go to the C encoder.
+#
+# - A column of flat lists (a dict's list value is a column of one) is one
+#   call of a no-indent encoder whose item separator is ``",\n"`` and the
+#   indent of the items.  In its output the text ``"],\n" + indent + "["``
+#   only occurs between two lists, since an encoded string holds no raw
+#   newline, so a split on it gives each list's items.
+# - A column of dicts that share one key set, such as the symmetry records,
+#   is rendered key by key: one column of values per key, then one
+#   ``%``-template, built once, fills in every record.
+# - A column of strs or of ints maps over it the C function that the C
+#   encoder applies to each; any other scalar goes through the encoder.
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_SCALAR_ENCODERS = {str: encode_basestring_ascii, int: int.__repr__}
+_LEVELS = []  # [(line break, flat encoder)] by depth
+
+
+def _level(depth):
+    """The line break and indent of ``depth``, and a no-indent encoder whose
+    item separator breaks the line at ``depth``."""
+    while len(_LEVELS) <= depth:
+        nl = "\n" + "  " * len(_LEVELS)
+        _LEVELS.append((nl, JSONEncoder(separators=("," + nl, ": "), sort_keys=True).encode))
+    return _LEVELS[depth]
+
+
+def _scalar(x):
+    encode = _SCALAR_ENCODERS.get(type(x))
+    return encode(x) if encode else _level(0)[1](x)
+
+
+def _column(values, depth):
+    """Each of ``values`` rendered as it is laid out at ``depth``."""
+    types = set(map(type, values))
+    if types <= _SCALAR_TYPES:
+        encode = _SCALAR_ENCODERS.get(types.pop()) if len(types) == 1 else None
+        return list(map(encode or _scalar, values))
+    if types <= {list, tuple} and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(values))):
+        nl, _ = _level(depth)
+        inner, encode = _level(depth + 1)
+        items = encode(values)[2:-2].split("]," + inner + "[")
+        return ["[" + inner + text + nl + "]" if text else "[]" for text in items]
+    if types == {dict} and values[0]:
+        shape = values[0].keys()
+        if all(map(shape.__eq__, map(dict.keys, values))):
+            return _records(values, sorted(shape), depth)
+    return [_render(v, depth) for v in values]
+
+
+def _records(dicts, keys, depth):
+    """Dicts that all have these sorted keys, rendered at ``depth``."""
+    nl, _ = _level(depth)
+    inner, _ = _level(depth + 1)
+    template = "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+    ) + nl + "}"
+    columns = [_column(list(map(itemgetter(k), dicts)), depth + 1) for k in keys]
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _render(value, depth):
+    if isinstance(value, dict):
+        return _records([value], sorted(value), depth)[0] if value else "{}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        nl, _ = _level(depth)
+        inner, _ = _level(depth + 1)
+        return "[" + inner + ("," + inner).join(_column(value, depth + 1)) + nl + "]"
+    return _scalar(value)
+
+
+def render_json(value):
+    """``value`` as ``json.dumps`` lays it out with ``indent=2`` and
+    ``sort_keys=True``, byte for byte; every dict key must be a str."""
+    return _render(value, 0)
+
+
 def _emit(report, args, text_renderer):
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(render_json(report))
     else:
         for line in text_renderer(report):
             print(line)
@@ -254,7 +345,7 @@ def cmd_find(args):
         "timing": {"wall_s": wall},
     }
     if not args.count_only:
-        report["symmetries"] = [_perm_record(p) for p in result.perms]
+        report["symmetries"] = _perm_records(result.perms)
         if result.exhausted and result.count == 1:
             report["note"] = "only the identity permutation is a symmetry"
     _emit(report, args, _find_text)
@@ -300,7 +391,7 @@ def cmd_group(args):
     gens = groups.generating_set(group)
     # each element's cycles are walked once, for its record; the element
     # orders and the involution count are read off the records
-    records = [_perm_record(p) for p in group.elements]
+    records = _perm_records(group.elements)
     report = {
         "command": "group",
         "input": info,

@@ -63,11 +63,11 @@ class SubspaceBasis:
         return f"SubspaceBasis({[list(v) for v in self.vectors]})"
 
 
-def _integer(x):
+def _integer(x, what="basis"):
     try:
         return index(x)
     except TypeError:
-        raise ValueError(f"basis entry {x!r} is not an integer") from None
+        raise ValueError(f"{what} entry {x!r} is not an integer") from None
 
 
 def projectors_from_involution(p):
@@ -253,7 +253,7 @@ def verify_eigenpair(h, eigenvalue, vector):
         raise DimensionError("need a square matrix")
     if len(vector) != h.rows:
         raise DimensionError(f"vector length {len(vector)} does not match size {h.rows}")
-    vector = [_integer(x) for x in vector]
+    vector = [_integer(x, "vector") for x in vector]
     if not any(vector):
         raise ValueError("zero vector is not an eigenvector")
     image = h @ ExactMatrix(h.rows, 1, vector)

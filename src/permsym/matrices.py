@@ -16,7 +16,7 @@ factor, and entries that cancel to zero are dropped.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, as_scalar
+from .scalars import ONE, ZERO, PolyScalar, as_scalar
 
 
 class DimensionError(ValueError):
@@ -30,7 +30,23 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_r")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(as_scalar(x) or ZERO for x in entries)
+        # each distinct string or number is converted once, so equal ones
+        # share one scalar; the key holds the type, so 1.0 is not taken for 1
+        converted = {}
+
+        def convert(x):
+            if isinstance(x, PolyScalar):
+                return x or ZERO
+            key = (type(x), x)
+            try:
+                y = converted.get(key)
+            except TypeError:  # unhashable: as_scalar refuses it
+                return as_scalar(x)
+            if y is None:
+                y = converted[key] = as_scalar(x) or ZERO
+            return y
+
+        entries = tuple(map(convert, entries))
         if len(entries) != rows * cols:
             raise DimensionError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
@@ -181,7 +197,23 @@ class ExactMatrix:
     def is_hermitian(self):
         if not self.is_square():
             raise DimensionError("hermiticity is defined for square matrices only")
-        return self == self.dagger()
+        # every non-zero (u, v) must face its conjugate at (v, u); then the
+        # non-zero positions are closed under transposition, so the zeros
+        # face zeros too
+        rows = self._r
+        conj = {}
+        for u, row in enumerate(rows):
+            for v, x in row.items():
+                y = rows[v].get(u)
+                if y is None:
+                    return False
+                c = conj.get(x)
+                if c is None:
+                    c = x.conjugate()
+                    c = conj[x] = x if c == x else c
+                if y is not c and y != c:
+                    return False
+        return True
 
     def is_permutation_matrix(self):
         """True iff entries are 0/1 with exactly one 1 per row and column."""

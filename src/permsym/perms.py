@@ -70,7 +70,7 @@ class Perm:
 
     def order(self):
         """Least m >= 1 with p^m = identity (lcm of cycle lengths)."""
-        return cycles_order(self.cycles())
+        return lcm(*map(len, self.cycles()))
 
     def cycles(self):
         """All cycles, fixed points included, each starting at its least element."""
@@ -90,7 +90,7 @@ class Perm:
         return out
 
     def cycle_string(self):
-        return format_cycles(self.cycles())
+        return cycle_summary(self.image)[0]
 
     def to_matrix(self):
         """The 0/1 matrix with a 1 at (u, image[u]) for every u."""
@@ -141,14 +141,36 @@ def _index(field):
     return value
 
 
-def cycles_order(cycles):
-    """The order of the permutation with these cycles: lcm of their lengths."""
-    return lcm(*(len(c) for c in cycles))
+def cycle_summary(image, labels=None):
+    """The cycle string ``(0 3)(1 2)`` and the order of the permutation with
+    this image, from one walk over it.
 
-
-def format_cycles(cycles):
-    """Cycles in the text form ``(0 3)(1 2)`` that ``Perm.cycle_string`` uses."""
-    return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
+    Cycles are listed as ``Perm.cycles`` lists them, fixed points included.
+    ``labels[u]`` is ``str(u)``; a caller that summarises many permutations
+    of one length builds that table once and passes it in.
+    """
+    n = len(image)
+    if labels is None:
+        labels = [str(u) for u in range(n)]
+    seen = bytearray(n)
+    parts = []
+    lengths = set()
+    for start in range(n):
+        if seen[start]:
+            continue
+        j = image[start]
+        if j == start:
+            # a fixed point: no later start can reach it, so it needs no mark
+            parts.append("(" + labels[start] + ")")
+            continue
+        cycle = [labels[start]]
+        while j != start:
+            cycle.append(labels[j])
+            seen[j] = 1
+            j = image[j]
+        parts.append("(" + " ".join(cycle) + ")")
+        lengths.add(len(cycle))
+    return "".join(parts), lcm(*lengths)
 
 
 def induced_site_perm(g):

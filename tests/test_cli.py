@@ -3,9 +3,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from permsym import ExactMatrix, Perm, build, find_symmetries
-from permsym.cli import main, read_matrix_file
+from permsym.cli import main, read_matrix_file, render_json
+from permsym.models import CATALOG
 from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, ZERO
 
 from helpers import ISING4_ROWS
@@ -303,6 +306,123 @@ class TestMatrixFiles:
         assert m[0, 0] is m[1, 1] and m[0, 1] is m[1, 0]
         assert m[0, 2] is ZERO and m[2, 1] is ZERO
         assert m == ExactMatrix.from_rows([["2*t", "1/2", "0"], ["1/2", "2*t", "0"], [0, 0, "-a"]])
+
+
+# -- the JSON renderer against json.dumps(indent=2, sort_keys=True) ---------
+
+TRICKY_TEXT = ["", "é", "日本", "\U0001f600", '"', "\\", "\n", "\x00", "\x1f", "\x7f",
+               "%s", "%", "],\n  [", "{}", "a\tb\r"]
+texts = st.one_of(st.sampled_from(TRICKY_TEXT), st.text(max_size=8))
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(),  # nan, infinities, subnormals and -0.0 included
+    st.sampled_from([5e-324, 1e-300, 1.7976931348623157e308, -2.5, -0.0, 1e16, 0.1]),
+    texts,
+)
+ints = st.integers(min_value=-3, max_value=99)
+
+
+def lists(elements, max_size=4):
+    return st.lists(elements, max_size=max_size)
+
+
+def records():
+    """Symmetry records; now and then one with another key set or value shape."""
+    record = st.fixed_dictionaries({"image": lists(ints), "cycles": texts, "order": ints})
+    odd = st.dictionaries(st.sampled_from(["image", "cycles", "order", "x"]),
+                          st.one_of(scalars, lists(scalars), lists(lists(ints))))
+    return lists(st.one_of(record, record, record, odd), max_size=6)
+
+
+search_info = st.fixed_dictionaries({
+    k: scalars for k in ("mode", "jobs", "count_only", "max_results", "node_budget",
+                         "nodes_visited", "exhausted", "count")
+})
+input_info = st.one_of(
+    st.fixed_dictionaries({"kind": texts, "name": texts, "dimension": ints,
+                           "parameters": st.dictionaries(texts, texts, max_size=3)}),
+    st.fixed_dictionaries({"kind": texts, "path": texts, "dimension": ints}),
+)
+timing = st.fixed_dictionaries({"wall_s": scalars})
+report_shapes = {
+    "find": st.fixed_dictionaries(
+        {"command": texts, "input": input_info, "search": search_info, "timing": timing},
+        optional={"symmetries": records(), "note": texts},
+    ),
+    "group": st.fixed_dictionaries({
+        "command": texts, "input": input_info, "search": search_info,
+        "symmetries": records(), "timing": timing,
+        "group": st.fixed_dictionaries({
+            "order": scalars, "commutative": scalars, "involution_count": scalars,
+            "element_orders": lists(st.tuples(ints, ints), 6),
+            "conjugacy_classes": lists(lists(ints)), "generators": lists(lists(ints)),
+        }),
+    }),
+    "decompose": st.fixed_dictionaries({
+        "command": texts, "input": input_info, "timing": timing,
+        "decomposition": st.fixed_dictionaries({
+            "involution": lists(ints), "basis1": lists(lists(ints)), "basis2": lists(lists(ints)),
+            "block1": lists(lists(texts)), "block2": lists(lists(texts)), "note": texts,
+        }),
+    }),
+    "models": st.fixed_dictionaries({
+        "command": texts,
+        "models": lists(st.fixed_dictionaries({
+            "name": texts, "dimension": ints, "description": texts,
+            "parameters": lists(lists(texts, 2)),
+        })),
+    }),
+}
+any_json = st.recursive(
+    scalars,
+    lambda inner: st.one_of(lists(inner), st.tuples(inner, inner), st.dictionaries(texts, inner, max_size=4)),
+    max_leaves=24,
+)
+RENDER_SETTINGS = settings(max_examples=100, deadline=None, database=None)
+
+
+class TestRenderJson:
+    @pytest.mark.parametrize("command", sorted(report_shapes))
+    def test_reports_match_the_stdlib(self, command):
+        @seed(8128)
+        @RENDER_SETTINGS
+        @given(report_shapes[command])
+        def check(report):
+            assert render_json(report) == json.dumps(report, indent=2, sort_keys=True)
+
+        check()
+
+    @seed(2718)
+    @RENDER_SETTINGS
+    @given(any_json)
+    def test_any_value_matches_the_stdlib(self, value):
+        assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_empty_containers(self):
+        for value in ({}, [], (), [{}], [[]], {"a": {}}, [{}, {"a": []}], [[], [1], []],
+                      [{"b": 1, "a": 2}] * 3):
+            assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def catalog_argvs():
+    for name in sorted(CATALOG):
+        yield ["find", "--model", name]
+        yield ["find", "--model", name, "--count-only"]
+        yield ["group", "--model", name]
+        involution = [p for p in find_symmetries(build(name)).perms if p.order() <= 2][-1]
+        yield ["decompose", "--model", name, "--perm", str(involution)]
+    yield ["models"]
+
+
+class TestJsonLayout:
+    @pytest.mark.parametrize("argv", list(catalog_argvs()), ids=" ".join)
+    def test_stdout_is_the_stdlib_layout(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 class TestValidation:

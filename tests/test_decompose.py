@@ -210,7 +210,7 @@ class TestEigenpairs:
         ):
             with pytest.raises(ValueError) as err:
                 verify_eigenpair(fermi_equal, parse("2*k+t"), vector)
-            assert str(err.value) == f"basis entry {entry} is not an integer"
+            assert str(err.value) == f"vector entry {entry} is not an integer"
 
     def test_double_eigenvalue_kernel(self, fermi_equal):
         shifted = fermi_equal - ExactMatrix.identity(3) * parse("2*k+t")

@@ -16,7 +16,7 @@ from permsym import (
     sigma,
     star2,
 )
-from permsym.scalars import ONE, ZERO
+from permsym.scalars import ONE, ZERO, GaussRational, PolyScalar
 
 from helpers import rand_matrix, rand_scalar, reference_kron, reference_matmul
 
@@ -45,6 +45,18 @@ class TestConstruction:
         m = ExactMatrix.from_rows([["t", "0"], ["0", "-t"]])
         assert m[0, 0] == parse("t")
         assert m[1, 1] == -parse("t")
+
+    def test_equal_entries_share_one_scalar(self):
+        # Q5 from its string table: 2/5 on the edges, "U" on the diagonal
+        m = ExactMatrix.from_rows([
+            ["U" if u == v else "2/5" if bin(u ^ v).count("1") == 1 else "0" for v in range(32)]
+            for u in range(32)
+        ])
+        assert {id(x) for x in m.entries()} == {id(x) for x in (ZERO, m[0, 0], m[0, 1])}
+        assert (m[0, 0], m[0, 1]) == (parse("U"), parse("2/5"))
+        # one key per type: 1.0 is not taken for the int 1 it equals
+        with pytest.raises(TypeError):
+            ExactMatrix.from_rows([[1, 1.0]])
 
     def test_immutability(self):
         m = ExactMatrix.identity(2)
@@ -232,6 +244,35 @@ def sparse_matrices(rows, cols):
     return st.one_of(dense, *special)
 
 
+def gauss(re, im):
+    """A fresh constant scalar: equal entries built by it are distinct objects."""
+    return PolyScalar.constant(GaussRational(re, im))
+
+
+@st.composite
+def sparse_hermitian(draw, n):
+    """A sparse hermitian matrix of Gaussian rationals; each entry and its
+    mirror are distinct objects, so no comparison can rest on ``is``."""
+    parts = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), parts, parts), max_size=2 * n
+    ))
+    rows = tuple({} for _ in range(n))
+    for u, v, re, im in cells:
+        x = gauss(re, 0 if u == v else im)
+        if x:
+            rows[u][v] = x
+            rows[v][u] = gauss(re, 0 if u == v else -im)
+    return ExactMatrix._trusted(n, n, rows)
+
+
+def replaced(m, u, v, x):
+    """m with entry (u, v) set to x, through the dense constructor."""
+    entries = list(m.entries())
+    entries[u * m.cols + v] = x
+    return ExactMatrix(m.rows, m.cols, entries)
+
+
 def assert_zeros_shared(m):
     assert all(x is ZERO for x in m.entries() if not x)
 
@@ -352,6 +393,40 @@ class TestKernelOracles:
         assert not off.is_hermitian() and not is_hermitian_oracle(off)
         assert a.is_hermitian() == is_hermitian_oracle(a)
         assert herm.dagger() == herm
+
+    @seed(7243)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_is_hermitian_on_gaussian_rationals(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        herm = data.draw(sparse_hermitian(n))
+        rows = herm._r
+        off_diagonal = [(u, v) for u in range(n) for v in rows[u] if u != v]
+        misses = []
+        if any(rows):
+            # one entry changed: adding i breaks x = conj(x) on the diagonal too
+            u, v = data.draw(st.sampled_from([(u, v) for u in range(n) for v in rows[u]]))
+            misses.append(replaced(herm, u, v, rows[u][v] + gauss(0, 1)))
+        non_real = [(u, v) for u, v in off_diagonal if rows[u][v].conjugate() != rows[u][v]]
+        if non_real:
+            # one entry not conjugated: a fresh copy of its mirror
+            u, v = data.draw(st.sampled_from(non_real))
+            x = rows[v][u].constant_value()
+            misses.append(replaced(herm, u, v, gauss(x.re, x.im)))
+        if off_diagonal:
+            # a zero opposite a non-zero
+            u, v = data.draw(st.sampled_from(off_diagonal))
+            misses.append(replaced(herm, u, v, ZERO))
+        zeros = [(u, v) for u in range(n) for v in range(n) if u != v and v not in rows[u]]
+        if zeros:
+            # and a non-zero opposite a zero
+            u, v = data.draw(st.sampled_from(zeros))
+            misses.append(replaced(herm, u, v, gauss(1, 0)))
+        assert herm.is_hermitian() and herm == herm.dagger()
+        for m in misses:
+            assert m != m.dagger() and not m.is_hermitian()
+        other = data.draw(sparse_matrices(n, n))
+        assert other.is_hermitian() == (other == other.dagger())
 
     @seed(6064)
     @KERNEL_SETTINGS

@@ -6,6 +6,7 @@ import pytest
 from permsym import ExactMatrix, Perm, build, induced_site_perm, is_symmetry
 from permsym.matrices import direct_sum, star2
 from permsym.models import sigma
+from permsym.perms import cycle_summary
 
 
 @pytest.fixture
@@ -66,6 +67,18 @@ class TestBasics:
         assert Perm([2, 1, 0]).cycles() == [(0, 2), (1,)]
         assert Perm([2, 1, 0]).cycle_string() == "(0 2)(1)"
         assert Perm.identity(2).cycles() == [(0,), (1,)]
+
+    def test_cycle_summary_matches_the_cycles(self, rng):
+        perms = [Perm(image) for n in range(5) for image in itertools.permutations(range(n))]
+        perms += [rand_perm(rng, n) for n in (9, 12) for _ in range(20)]
+        for p in perms:
+            text = "".join("(" + " ".join(str(u) for u in c) + ")" for c in p.cycles())
+            power, order = p, 1
+            while not power.is_identity():
+                power, order = power * p, order + 1
+            labels = [str(u) for u in range(len(p))]
+            assert cycle_summary(p.image) == cycle_summary(p.image, labels) == (text, order)
+            assert p.order() == order and p.cycle_string() == text
 
 
 class TestMatrixRealization:

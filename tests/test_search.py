@@ -476,6 +476,10 @@ class TestStabiliserChain:
         tree = search(h, node_budget=10**12)
         assert list(chain.perms) == list(leaf.perms) == list(tree.perms)
         assert chain.count == leaf.count == tree.count
+        # results are built unchecked, so check here that each is a permutation
+        for result in (chain, leaf, tree):
+            for p in result.perms:
+                assert type(p.image) is tuple and sorted(p.image) == list(range(h.rows))
         assert chain.exhausted and tree.exhausted
         assert chain.nodes_visited <= tree.nodes_visited
         assert search(h, count_only=True).count == chain.count
