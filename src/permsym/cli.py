@@ -26,7 +26,7 @@ from . import groups
 from .decompose import block_form, column_space_basis, projectors_from_involution
 from .matrices import ExactMatrix
 from .models import CATALOG, ModelError, build, list_models
-from .perms import Perm, cycle_summary
+from .perms import Perm, _index, cycle_summary
 from .scalars import ParseError, parse
 from .search import (
     MODE_LEAF_CHECK,
@@ -52,12 +52,10 @@ class MatrixFileError(ValueError):
 
 
 def _dimension(field):
-    """``field`` as an int if it is ASCII decimal digits, else None."""
-    if not (field.isascii() and field.isdigit()):
-        return None
+    """``field`` as an int if ``perms._index`` takes it, else None."""
     try:
-        return int(field)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return _index(field)
+    except ValueError:
         return None
 
 

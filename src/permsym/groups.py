@@ -1,12 +1,15 @@
-"""Group structure of a set of permutations: closure verification,
-multiplication table, element orders, conjugacy classes and generators.
+"""Group structure of a set of permutations: closure verification, element
+orders, conjugacy classes and generators.
+
+The group layer composes image tuples, ``Perm.image``: "apply ``x``, then
+``h``" is ``tuple([h[j] for j in x])``, the image of ``x * h``.  A verified
+group keeps one dict from image tuple to element position, which serves
+every membership test and index lookup.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from .perms import Perm
+from .perms import Perm, _trusted
 
 
 class GroupError(ValueError):
@@ -25,47 +28,30 @@ class SymmetryGroup:
     proved their closure.
 
     ``elements[0]`` is the identity.  ``generators`` are the elements that
-    ``verify_closure``'s scan kept, in element order.  ``table[a][b]`` is the
-    index of ``elements[a] * elements[b]``; it costs |G|^2 products and is
-    built on first access.
+    ``verify_closure``'s scan kept, in element order.  ``index_of`` and
+    ``in`` read the one index of the group, a dict from the image tuple of
+    each element to its position in ``elements``.
     """
 
-    __slots__ = ("elements", "generators", "_index", "_table")
+    __slots__ = ("elements", "generators", "_index")
 
-    def __init__(self, elements, generators):
+    def __init__(self, elements, generators, index):
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "_index", {p: k for k, p in enumerate(self.elements)})
-        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymmetryGroup is immutable")
 
     @property
-    def table(self):
-        if self._table is None:
-            index = self._index
-            table = tuple(
-                tuple(index[p * q] for q in self.elements) for p in self.elements
-            )
-            object.__setattr__(self, "_table", table)
-        return self._table
-
-    @property
     def order(self):
         return len(self.elements)
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
     def index_of(self, p):
-        return self._index[p]
+        return self._index[p.image]
 
     def __contains__(self, p):
-        return p in self._index
+        return isinstance(p, Perm) and p.image in self._index
 
 
 def verify_closure(elements):
@@ -88,42 +74,46 @@ def verify_closure(elements):
     n = len(elements[0])
     if any(len(p) != n for p in elements):
         raise GroupError("elements act on different index sets")
-    if len(set(elements)) != len(elements):
-        raise GroupError("duplicate elements")
-
     ident = Perm.identity(n)
-    if ident not in set(elements):
+    if ident in elements:
+        elements.remove(ident)
+        elements.insert(0, ident)
+    images = [p.image for p in elements]
+    index = dict(zip(images, range(len(images))))
+    if len(index) != len(images):
+        raise GroupError("duplicate elements")
+    if images[0] != ident.image:
         raise GroupError("missing identity", witness=ident)
-    elements.remove(ident)
-    elements.insert(0, ident)
 
-    index = {p: k for k, p in enumerate(elements)}
     gens = []
-    reached = [ident]
-    seen = {ident}
-    for g in elements:
-        if len(reached) == len(elements):
+    reached = [images[0]]
+    seen = bytearray(len(images))
+    seen[0] = 1
+    for k, g in enumerate(images):
+        if len(reached) == len(images):
             break
-        if g in seen:
+        if seen[k]:
             continue
         gens.append(g)
         # reached[:old] is closed under the earlier generators, so its
         # elements need only the new one; elements reached from here on
         # need every generator
         old = len(reached)
-        for k, x in enumerate(reached):
-            for h in gens if k >= old else (g,):
-                prod = x * h
-                if prod not in seen:
-                    if prod not in index:
-                        raise GroupError(
-                            f"not closed: element {index[x]} * element {index[h]} = "
-                            f"{prod} is outside the set",
-                            witness=(x, h),
-                        )
-                    seen.add(prod)
+        for i, x in enumerate(reached):
+            for h in gens if i >= old else (g,):
+                prod = tuple([h[j] for j in x])
+                at = index.get(prod)
+                if at is None:
+                    a, b = index[x], index[h]
+                    raise GroupError(
+                        f"not closed: element {a} * element {b} = "
+                        f"{_trusted(prod)} is outside the set",
+                        witness=(elements[a], elements[b]),
+                    )
+                if not seen[at]:
+                    seen[at] = 1
                     reached.append(prod)
-    return SymmetryGroup(elements, gens)
+    return SymmetryGroup(elements, [elements[index[g]] for g in gens], index)
 
 
 def is_commutative(group):
@@ -148,21 +138,23 @@ def conjugacy_classes(group):
     Each class is the orbit of its least member under conjugation by the
     generators, which costs 2*r products per class member.
     """
-    elements = group.elements
-    gens = [(g.inverse(), g) for g in group.generators]
-    assigned = [False] * len(elements)
+    index = group._index
+    images = list(index)
+    gens = [(g.inverse().image, g.image) for g in group.generators]
+    assigned = bytearray(len(images))
     classes = []
-    for k in range(len(elements)):
+    for k in range(len(images)):
         if assigned[k]:
             continue
-        assigned[k] = True
+        assigned[k] = 1
         members = [k]
-        for j in members:
-            y = elements[j]
+        for m in members:
+            y = images[m]
             for g_inv, g in gens:
-                i = group.index_of(g_inv * y * g)
+                # the image of g_inv * y * g
+                i = index[tuple([g[y[j]] for j in g_inv])]
                 if not assigned[i]:
-                    assigned[i] = True
+                    assigned[i] = 1
                     members.append(i)
         classes.append(tuple(sorted(members)))
     return classes
@@ -180,18 +172,18 @@ def generate_from(generators):
     n = len(generators[0])
     if any(len(p) != n for p in generators):
         raise GroupError("generators act on different index sets")
-    ident = Perm.identity(n)
+    gens = [g.image for g in generators]
+    ident = tuple(range(n))
     seen = {ident}
-    queue = deque([ident])
-    while queue:
-        p = queue.popleft()
-        for g in generators:
-            q = p * g
+    queue = [ident]
+    for p in queue:
+        for g in gens:
+            q = tuple([g[j] for j in p])
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
     # finite closure under products of generators contains all inverses
-    return verify_closure(sorted(seen))
+    return verify_closure(map(_trusted, sorted(seen)))
 
 
 def generating_set(group):

@@ -168,17 +168,13 @@ class _Plan:
     ``levels[i]`` is ``None`` when level ``i`` draws from ``cells[i]``, the
     ascending members of its cell, and ``(anchor, key)`` when it draws from
     ``index[j[anchor]][key]``: the ascending ``v`` with
-    ``colors[j[anchor]][v], cell[v] == key``.  ``rows_in[i]`` and
-    ``cols_in[i]`` hold H[i, k] and H[k, i] for k < i, which H[v, j_k] and
-    H[j_k, v] must match.
+    ``colors[j[anchor]][v], cell[v] == key``.
     """
 
     cols: tuple
     cells: tuple
     levels: tuple
     index: tuple
-    rows_in: tuple
-    cols_in: tuple
 
 
 def _plan(colors):
@@ -228,8 +224,6 @@ def _plan(colors):
         cells=tuple(members[c] for c in cell),
         levels=tuple(levels),
         index=tuple(index),
-        rows_in=tuple(colors[i][:i] for i in range(n)),
-        cols_in=tuple(cols[i][:i] for i in range(n)),
     )
 
 
@@ -243,9 +237,9 @@ def _search_pruned(colors, plan, prefix, roots, max_results, node_budget, collec
     n = len(colors)
     last = n - 1
     cols, cells, levels, index = plan.cols, plan.cells, plan.levels, plan.index
-    rows_in, cols_in = plan.rows_in, plan.cols_in
     start = len(prefix)
-    j = list(prefix) + [-1] * (n - start)
+    # the images assigned so far: j[k] for k < i at level i
+    j = list(prefix)
     used = [False] * n
     for v in prefix:
         used[v] = True
@@ -256,27 +250,28 @@ def _search_pruned(colors, plan, prefix, roots, max_results, node_budget, collec
     found = []
     i = start
     while i >= start:
-        ri, ci = rows_in[i], cols_in[i]
+        ri, ci = colors[i], cols[i]
         for v in its[i]:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return found, count, nodes - 1, False
             if used[v]:
                 continue
-            # v shares the cell of i, so H[v, v] == H[i, i] already holds
+            # v shares the cell of i, so H[v, v] == H[i, i] already holds;
+            # zip stops at the i images assigned so far
             rv, cv = colors[v], cols[v]
             for jk, a, b in zip(j, ri, ci):
                 if rv[jk] != a or cv[jk] != b:
                     break
             else:
-                j[i] = v
                 if i == last:
                     count += 1
                     if collect:
-                        found.append(tuple(j))
+                        found.append((*j, v))
                     if max_results is not None and count >= max_results:
                         return found, count, nodes, False
                     continue
+                j.append(v)
                 used[v] = True
                 i += 1
                 level = levels[i]
@@ -287,7 +282,7 @@ def _search_pruned(colors, plan, prefix, roots, max_results, node_budget, collec
         else:
             i -= 1
             if i >= start:
-                used[j[i]] = False
+                used[j.pop()] = False
     return found, count, nodes, True
 
 

@@ -11,6 +11,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from bench import spans, workloads  # noqa: E402
+from permsym import cli  # noqa: E402
 
 
 def test_every_traced_name_resolves():
@@ -31,3 +32,17 @@ def test_api_requests_run_on_a_small_chain():
     assert code == 0
     assert report["decomposition"]["basis1"] == basis1
     assert report["decomposition"]["basis2"] == basis2
+
+
+def test_traced_group_request_fills_the_group_layer():
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("cli.main"):
+            assert cli.main(["group", "--model", "ising4", "--format", "json"]) == 0
+    finally:
+        tracer.uninstall()
+    metrics, _ = spans.pass_metrics(tracer.spans, None)
+    assert metrics["groups.order"] == 16
+    assert metrics["groups.closure_s"] > 0
+    assert metrics["groups.classes_s"] > 0

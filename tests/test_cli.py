@@ -104,6 +104,19 @@ class TestFind:
         assert report["search"]["exhausted"] is False
         assert report["search"]["nodes_visited"] == 50
 
+    def test_budgets_in_text(self, capsys):
+        code, out, err = run_cli(
+            capsys, "find", "--model", "triple_spin", "--max-results", "3", "--node-budget", "1000"
+        )
+        assert code == 0
+        assert out.splitlines()[1:6] == [
+            "mode: pruned  jobs: 1",
+            "nodes visited: 27",
+            "exhausted: no",
+            "max results: 3",
+            "node budget: 1000",
+        ]
+
 
 class TestGroup:
     def test_triple_spin_summary(self, capsys):
@@ -179,6 +192,39 @@ class TestDecompose:
             assert (code, out) == (3, "")
             assert err == f"error: bad permutation {perm!r}: {field!r} is not an ASCII decimal index\n"
 
+    @pytest.mark.parametrize("model, perm, message", [
+        ("hubbard2", "0,1,2", "permutation length 3 does not match dimension 4"),
+        # the lift of ising4's quarter turn commutes with H but has order 4
+        ("ising4", "0,8,1,9,2,10,3,11,4,12,5,13,6,14,7,15",
+         "0,8,1,9,2,10,3,11,4,12,5,13,6,14,7,15 is not an involution (order 4)"),
+    ])
+    def test_rejected_perm_is_one_line(self, capsys, model, perm, message):
+        assert run_cli(capsys, "decompose", "--model", model, "--perm", perm) == (
+            3, "", f"error: {message}\n"
+        )
+
+    def test_text_output(self, capsys):
+        code, out, err = run_cli(capsys, "decompose", "--model", "hubbard2", "--perm", "3,2,1,0")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2:15] == [
+            "involution: 3,2,1,0",
+            "basis of the first invariant subspace:",
+            "  (1, 0, 0, 1)",
+            "  (0, 1, 1, 0)",
+            "basis of the second invariant subspace:",
+            "  (1, 0, 0, -1)",
+            "  (0, 1, -1, 0)",
+            "block of the first subspace:",
+            "  [U  2*t]",
+            "  [2*t  0]",
+            "block of the second subspace:",
+            "  [U  0]",
+            "  [0  0]",
+        ]
+        assert lines[15].startswith("note: basis vectors are primitive integer vectors")
+        assert lines[16].startswith("wall time: ")
+
 
 class TestModels:
     def test_listing_text(self, capsys):
@@ -221,6 +267,15 @@ class TestMatrixFiles:
             code, out, err = run_cli(capsys, "find", "--input", path)
             assert (code, out) == (2, "")
             assert err == f"error: {path}:1: header must be 'rows cols'\n"
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("", "", "empty matrix file"),
+        ("0 0\n", ":1", "dimensions must be positive"),
+        ("2 2\n0 t\n", "", "expected 2 entry rows after the header, found 1"),
+    ])
+    def test_malformed_file(self, capsys, tmp_path, text, where, message):
+        path = self.write(tmp_path, text)
+        assert run_cli(capsys, "find", "--input", path) == (2, "", f"error: {path}{where}: {message}\n")
 
     def test_bad_expression(self, capsys, tmp_path):
         path = self.write(tmp_path, "2 2\n0 t$\nt 0\n")

@@ -58,6 +58,10 @@ class TestConstruction:
         with pytest.raises(TypeError):
             ExactMatrix.from_rows([[1, 1.0]])
 
+    def test_str_right_aligns_each_column(self):
+        m = ExactMatrix.from_rows([["10", "-1/2"], ["t", "0"]])
+        assert str(m) == "[10  -1/2]\n[ t     0]"
+
     def test_immutability(self):
         m = ExactMatrix.identity(2)
         with pytest.raises(AttributeError):
