@@ -114,7 +114,9 @@ def read_matrix_file(path):
 
 
 def _load_input(args):
-    """Resolve --model/--param/--input into (matrix, input description)."""
+    """Resolve --model/--param/--input into (matrix, input description,
+    seconds taken to build the model or read the file)."""
+    start = time.perf_counter()
     if args.model and args.input:
         raise ModelError("give either --model or --input, not both")
     if not args.model and not args.input:
@@ -138,12 +140,12 @@ def _load_input(args):
             "dimension": spec.dimension,
             "parameters": described,
         }
-        return matrix, info
-    if args.param:
+    elif args.param:
         raise ModelError("--param applies to --model inputs only")
-    matrix = read_matrix_file(args.input)
-    info = {"kind": "file", "path": args.input, "dimension": matrix.rows}
-    return matrix, info
+    else:
+        matrix = read_matrix_file(args.input)
+        info = {"kind": "file", "path": args.input, "dimension": matrix.rows}
+    return matrix, info, time.perf_counter() - start
 
 
 def _search_config(args):
@@ -334,13 +336,13 @@ def _timing_text(report):
 
 
 def cmd_find(args):
-    matrix, info = _load_input(args)
+    matrix, info, load = _load_input(args)
     result, cfg, search_info, wall = _run_search(matrix, args)
     report = {
         "command": "find",
         "input": info,
         "search": search_info,
-        "timing": {"wall_s": wall},
+        "timing": {"wall_s": wall, "load_s": load},
     }
     if not args.count_only:
         report["symmetries"] = _perm_records(result.perms)
@@ -379,7 +381,7 @@ def _group_text(report):
 
 
 def cmd_group(args):
-    matrix, info = _load_input(args)
+    matrix, info, load = _load_input(args)
     result, _, search_info, wall = _run_search(matrix, args)
     if not result.exhausted:
         print("search stopped before exhausting the tree; group analysis needs "
@@ -403,7 +405,7 @@ def cmd_group(args):
             "conjugacy_classes": [list(c) for c in groups.conjugacy_classes(group)],
             "generators": [list(p.image) for p in gens],
         },
-        "timing": {"wall_s": wall},
+        "timing": {"wall_s": wall, "load_s": load},
     }
     _emit(report, args, _group_text)
     return EXIT_OK
@@ -433,7 +435,7 @@ def _decompose_text(report):
 
 
 def cmd_decompose(args):
-    matrix, info = _load_input(args)
+    matrix, info, load = _load_input(args)
     perm = Perm.parse(args.perm)
     if len(perm) != matrix.rows:
         raise ModelError(
@@ -464,7 +466,7 @@ def cmd_decompose(args):
             "block2": block2,
             "note": _NORMALIZATION_NOTE,
         },
-        "timing": {"wall_s": wall},
+        "timing": {"wall_s": wall, "load_s": load},
     }
     _emit(report, args, _decompose_text)
     return EXIT_OK

@@ -12,6 +12,13 @@ a dense row-major tuple on each call, in which every zero is the shared
 adds ``a[r, t] * b[t, c]`` over the non-zeros of row ``t`` of ``b`` into the
 row's accumulator.  Products with the ``ONE`` singleton return the other
 factor, and entries that cancel to zero are dropped.
+
+``+`` and the entrywise maps (unary minus, scalar ``*`` and ``/``,
+``conjugate``, ``substitute``) memoise one call by operand value, ``(x, y)``
+in ``+`` and ``x`` in a map: each distinct operand is computed once, and its
+one non-zero result fills every entry it gives, so the memo never outgrows
+the output.  ``@`` has none: its keys would grow with the products made,
+not with the output.
 """
 
 from __future__ import annotations
@@ -122,8 +129,16 @@ class ExactMatrix:
 
     def _map(self, f):
         """The matrix of ``f(x)`` over the non-zeros ``x``; zero results are dropped."""
+        memo = {}
+
+        def g(x):
+            y = memo.get(x)
+            if y is None and (y := f(x)):
+                memo[x] = y
+            return y
+
         return ExactMatrix._trusted(self.rows, self.cols, tuple(
-            {c: y for c, x in row.items() if (y := f(x))} for row in self._r
+            {c: y for c, x in row.items() if (y := g(x))} for row in self._r
         ))
 
     def __add__(self, other):
@@ -131,13 +146,19 @@ class ExactMatrix:
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch: {self.shape} + {other.shape}")
+        memo = {}
         out = []
         for a_row, b_row in zip(self._r, other._r):
             row = dict(a_row)
             for c, y in b_row.items():
-                s = row.pop(c, ZERO) + y
-                if s:
-                    row[c] = s
+                key = (row.pop(c, ZERO), y)
+                s = memo.get(key)
+                if s is None:
+                    s = key[0] + y
+                    if not s:
+                        continue
+                    memo[key] = s
+                row[c] = s
             out.append(row)
         return ExactMatrix._trusted(self.rows, self.cols, tuple(out))
 

@@ -1,8 +1,10 @@
 """Exact scalars: multivariate polynomials in real parameters over the Gaussian rationals.
 
 Every matrix entry in this package is a :class:`PolyScalar`.  Coefficients are
-Gaussian rationals (complex numbers with ``fractions.Fraction`` parts), kept in
-a canonical sparse form so equality of values is decidable by plain ``==``.
+Gaussian rationals (complex numbers with exact rational parts, each an ``int``
+when integral and a ``fractions.Fraction`` otherwise; inexact parts such as
+floats are refused), kept in a canonical sparse form so equality of values is
+decidable by plain ``==``.
 Parameters are symbols standing for real numbers, so complex conjugation acts
 on coefficients only.
 """
@@ -21,14 +23,27 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _q(x):
+    """A rational part as it is stored: an int when integral, else a Fraction."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x if x.denominator != 1 else x.numerator
+    raise TypeError(f"cannot use {type(x).__name__} as a rational part")
+
+
 class GaussRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    Each part is an int when integral, else a Fraction, so integral arithmetic
+    builds no Fraction.  Parts other than ints and Fractions are refused.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", _q(re))
+        object.__setattr__(self, "im", _q(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
@@ -76,7 +91,7 @@ class GaussRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = other.re * other.re + other.im * other.im
+        d = Fraction(other.re * other.re + other.im * other.im)
         if d == 0:
             raise ZeroDivisionError("division by zero")
         return GaussRational(

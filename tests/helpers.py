@@ -190,8 +190,8 @@ def constant_kernel_basis(m):
                 key_re, key_im = per_mono.setdefault(
                     mono, ([Fraction(0)] * m.cols, [Fraction(0)] * m.cols)
                 )
-                key_re[c] = coeff.re
-                key_im[c] = coeff.im
+                key_re[c] = Fraction(coeff.re)
+                key_im[c] = Fraction(coeff.im)
         for re, im in per_mono.values():
             if any(re):
                 stacked.append(re)

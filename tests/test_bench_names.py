@@ -11,6 +11,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from bench import spans, workloads  # noqa: E402
+import permsym  # noqa: E402
 from permsym import cli  # noqa: E402
 
 
@@ -32,6 +33,17 @@ def test_api_requests_run_on_a_small_chain():
     assert code == 0
     assert report["decomposition"]["basis1"] == basis1
     assert report["decomposition"]["basis2"] == basis2
+
+
+def test_chain_build_shares_one_scalar_per_value():
+    # is_symmetry compares shared entries by identity, so the spin-chain
+    # timings rest on the build handing out one object per distinct value
+    h = workloads.build_chain(4, "a", "b", workloads.CHAIN_OPS)
+    g = permsym.build("ising4")
+    assert h == g
+    for m in (h, g):
+        entries = [x for row in m._r for x in row.values()]
+        assert len(set(map(id, entries))) == len(set(entries)) == 3
 
 
 def test_traced_group_request_fills_the_group_layer():

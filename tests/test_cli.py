@@ -401,7 +401,7 @@ input_info = st.one_of(
                            "parameters": st.dictionaries(texts, texts, max_size=3)}),
     st.fixed_dictionaries({"kind": texts, "path": texts, "dimension": ints}),
 )
-timing = st.fixed_dictionaries({"wall_s": scalars})
+timing = st.fixed_dictionaries({"wall_s": scalars, "load_s": scalars})
 report_shapes = {
     "find": st.fixed_dictionaries(
         {"command": texts, "input": input_info, "search": search_info, "timing": timing},
@@ -470,6 +470,25 @@ def catalog_argvs():
         involution = [p for p in find_symmetries(build(name)).perms if p.order() <= 2][-1]
         yield ["decompose", "--model", name, "--perm", str(involution)]
     yield ["models"]
+
+
+TIMED_ARGVS = [
+    ["find", "--model", "hubbard2"],
+    ["group", "--model", "hubbard2", "--param", "U=1/2"],
+    ["decompose", "--model", "hubbard2", "--perm", "3,2,1,0"],
+    ["find", "--input", "{file}"],
+    ["group", "--input", "{file}"],
+    ["decompose", "--input", "{file}", "--perm", "1,0"],
+]
+
+
+@pytest.mark.parametrize("argv", TIMED_ARGVS, ids=" ".join)
+def test_timing_reports_the_load(capsys, tmp_path, argv):
+    path = tmp_path / "h.txt"
+    path.write_text("2 2\n0 a\na 0\n")
+    timing = json_report(capsys, *(a.format(file=path) for a in argv))["timing"]
+    assert sorted(timing) == ["load_s", "wall_s"]
+    assert timing["load_s"] >= 0 and timing["wall_s"] >= 0
 
 
 class TestJsonLayout:

@@ -248,6 +248,17 @@ def sparse_matrices(rows, cols):
     return st.one_of(dense, *special)
 
 
+def fresh_matrices(rows, cols):
+    """Random sparse matrices whose equal entries are distinct objects; "t"
+    and "-t", "1" and "-1" let sums cancel to zero."""
+    texts = ["0"] * 4 + ["1", "-1", "t", "-t", "2*a - 1/3*i"]
+    return st.lists(
+        st.sampled_from(texts), min_size=rows * cols, max_size=rows * cols
+    ).map(lambda cells: ExactMatrix._trusted(rows, cols, tuple(
+        {c: x for c in range(cols) if (x := parse(cells[r * cols + c]))} for r in range(rows)
+    )))
+
+
 def gauss(re, im):
     """A fresh constant scalar: equal entries built by it are distinct objects."""
     return PolyScalar.constant(GaussRational(re, im))
@@ -508,6 +519,47 @@ class TestKernelOracles:
         for x, y in ((a - a, ExactMatrix.zeros(rows, cols)), (kron(a, b), by_rows),
                      (a + a2, a2 + a)):
             assert x == y and hash(x) == hash(y)
+
+    @seed(6174)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_entrywise_kernels_compute_each_operand_once(self, data):
+        rows, cols = data.draw(dims), data.draw(dims)
+        a = data.draw(fresh_matrices(rows, cols))
+        b = data.draw(fresh_matrices(rows, cols))
+        s = data.draw(st.sampled_from([parse(x) for x in ("3", "-1/2", "2*i", "t", "0")]))
+        bindings = {"t": data.draw(st.sampled_from(["0", "-t", "1/2", "a", "2*a - 1/3*i"]))}
+        ea, eb = by_index(a), by_index(b)
+        # + and - against the entrywise oracle; the non-zeros of each distinct
+        # operand pair (x, y) with y non-zero are one object
+        for got, op in ((a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y)):
+            assert got == ExactMatrix(rows, cols, [op(x, y) for x, y in zip(ea, eb)])
+            assert_dense_view(got)
+            shared = {}
+            for x, y, z in zip(ea, eb, by_index(got)):
+                if y and z:
+                    assert shared.setdefault((x, y), z) is z
+        # the entrywise maps: equal operands give one object, and for the
+        # one-to-one maps equal entries are one object
+        maps = [
+            (-a, lambda x: -x, True),
+            (a * s, lambda x: x * s, bool(s)),
+            (s * a, lambda x: s * x, bool(s)),
+            (a.conjugate(), lambda x: x.conjugate(), True),
+            (a.substitute(bindings), lambda x: x.substitute(bindings), False),
+        ]
+        if s and s.is_constant():
+            maps.append((a / s, lambda x: x / s, True))
+        for got, f, one_to_one in maps:
+            assert got == ExactMatrix(rows, cols, [f(x) for x in ea])
+            assert_dense_view(got)
+            shared = {}
+            for x, z in zip(ea, by_index(got)):
+                if z:
+                    assert shared.setdefault(x, z) is z
+            if one_to_one:
+                non_zeros = [z for z in by_index(got) if z]
+                assert len(set(map(id, non_zeros))) == len(set(non_zeros))
 
     def test_divide_by_zero_raises_on_a_zero_matrix(self):
         with pytest.raises(ZeroDivisionError):

@@ -1,7 +1,10 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from permsym import GaussRational, ParseError, PolyScalar, param, parse, rational
 from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, Monomial
@@ -34,6 +37,73 @@ class TestGaussRational:
     def test_fraction_parts(self):
         z = GaussRational(Fraction(1, 2), Fraction(-3, 4))
         assert z.re == Fraction(1, 2) and z.im == Fraction(-3, 4)
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", Decimal("0.5"), 1j])
+    def test_inexact_parts_refused(self, bad):
+        name = type(bad).__name__
+        for args in ((bad,), (bad, 1), (1, bad)):
+            with pytest.raises(TypeError, match=name):
+                GaussRational(*args)
+
+    def test_bool_and_integral_fraction_parts_become_ints(self):
+        z = GaussRational(True, Fraction(6, 3))
+        assert (type(z.re), type(z.im)) == (int, int) and z == GaussRational(1, 2)
+
+
+# Gaussian rationals against pairs of Fractions, one (re, im) pair a value
+parts = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+pairs = st.tuples(parts, parts)
+SCALAR_SETTINGS = settings(max_examples=200, deadline=None, database=None)
+
+
+def ref(z):
+    return (Fraction(z[0]), Fraction(z[1]))
+
+
+def ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def assert_matches(z, expected):
+    """``z`` holds the parts ``expected``, each an int exactly when it is integral."""
+    assert (z.re, z.im) == expected
+    for part, q in zip((z.re, z.im), expected):
+        assert type(part) is (int if q.denominator == 1 else Fraction)
+
+
+class TestGaussRationalOracle:
+    @seed(1729)
+    @SCALAR_SETTINGS
+    @given(pairs, pairs)
+    def test_field_operations(self, x, y):
+        a, b = ref(x), ref(y)
+        zx, zy = GaussRational(*x), GaussRational(*y)
+        assert_matches(zx, a)
+        assert_matches(zx + zy, (a[0] + b[0], a[1] + b[1]))
+        assert_matches(zx - zy, (a[0] - b[0], a[1] - b[1]))
+        assert_matches(zx * zy, ref_mul(a, b))
+        assert_matches(-zx, (-a[0], -a[1]))
+        assert_matches(zx.conjugate(), (a[0], -a[1]))
+        d = b[0] * b[0] + b[1] * b[1]
+        if d:
+            assert_matches(zx / zy, ref_mul(a, (b[0] / d, -b[1] / d)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                zx / zy
+
+    @seed(1730)
+    @SCALAR_SETTINGS
+    @given(pairs, pairs)
+    def test_equality_and_hash(self, x, y):
+        a = ref(x)
+        zx, zy = GaussRational(*x), GaussRational(*y)
+        assert (zx == zy) == (a == ref(y))
+        # the hash that the Fraction parts give, so ints and Fractions mix
+        assert hash(zx) == (hash(a) if a[1] else hash(a[0]))
+        if not a[1]:
+            assert zx == a[0] == x[0]
 
 
 class TestMonomial:
