@@ -19,8 +19,8 @@ per matrix, not from all n indices:
 * Root refinement.  H is an edge-coloured complete digraph and its symmetries
   are that graph's automorphisms.  The stable colour refinement of its indices
   (Weisfeiler & Leman 1968; McKay & Piperno 2014) starts from the diagonal
-  colours and splits each cell by the multiset of (out-colour, in-colour, cell
-  of v) over each member's row, until the number of cells stops growing.
+  colours and splits each cell by the multiset of (colour pair, cell of v)
+  over each member's non-zero pairs, until the number of cells stops growing.
   Every symmetry maps each index into its own cell.
 * Anchored candidates.  Each row is indexed by (colour, cell) -> ascending v.
   Level ``i`` has a static anchor: the earliest ``k < i`` whose class
@@ -53,10 +53,11 @@ search after that many.  In an unbudgeted ``pruned`` run it is the candidates
 drawn by the chain's searches, which are disjoint parts of the tree, so it is
 never more than the whole tree's count.
 
-``pruned`` works on a small integer "color" table (one id per distinct
-entry of H), so no polynomial arithmetic happens inside its loop.  Only
-``pruned`` builds the table and the plan.  ``find_symmetries`` depends on H
-and its ``SearchConfig`` only, and runs serially in the calling process.
+``pruned`` reads H as sparse colour pairs: ``pairs[u][v]`` holds the integer
+colours of ``H[u, v]`` and ``H[v, u]`` where either is non-zero, so refinement
+and search skip zeros (as in saucy, Darga et al. 2004) and do no polynomial
+arithmetic.  Only ``pruned`` builds the pairs and the plan.  ``find_symmetries``
+depends on H and its ``SearchConfig`` only, and runs serially in the calling process.
 """
 
 from __future__ import annotations
@@ -123,37 +124,36 @@ def is_symmetry(h, p):
 
 
 def _color_table(h):
-    """One small integer per distinct entry of ``h``, zero as colour 0."""
+    """Per index ``u``, a dict from each ``v`` with ``H[u, v]`` or ``H[v, u]`` non-zero
+    to their colours, one small int per distinct entry; every other pair is (0, 0)."""
     ids = {}
-    n = h.rows
-    table = []
-    for row in h._r:
-        out = [0] * n
+    pairs = [{} for _ in h._r]
+    for u, row in enumerate(h._r):
         for v, x in row.items():
-            out[v] = ids.setdefault(x, len(ids) + 1)
-        table.append(tuple(out))
-    return tuple(table)
+            c = ids.setdefault(x, len(ids) + 1)
+            pairs[u][v] = (c, pairs[u].get(v, (0, 0))[1])
+            pairs[v][u] = (pairs[v].get(u, (0, 0))[0], c)
+    return pairs
 
 
-def _refine(colors, cols):
+def _refine(pairs):
     """Stable colour refinement of the indices: ``cell[u]`` for every ``u``.
 
     The first partition is by diagonal colour.  Each round splits a cell by
-    the multiset of (out-colour, in-colour, cell of v) over the row of each
-    member, until the number of cells stops growing or every cell is a single
-    index.  Every symmetry maps each index into its own cell.
+    the multiset of (pair, cell of v) over each member's non-zero pairs, until
+    the number of cells stops growing or every cell is a single index.  Every
+    symmetry maps each index into its own cell.
     """
-    n = len(colors)
-    cell = [row[u] for u, row in enumerate(colors)]
+    cell = [row.get(u, (0, 0))[0] for u, row in enumerate(pairs)]
     count = len(set(cell))
-    while count < n:
+    while count < len(pairs):
         sigs = {}
         cell = [
             sigs.setdefault(
-                (cell[u], frozenset(Counter(zip(colors[u], cols[u], cell)).items())),
+                (cell[u], frozenset(Counter(zip(row.values(), [cell[v] for v in row])).items())),
                 len(sigs),
             )
-            for u in range(n)
+            for u, row in enumerate(pairs)
         ]
         if len(sigs) == count:
             break
@@ -167,20 +167,19 @@ class _Plan:
 
     ``levels[i]`` is ``None`` when level ``i`` draws from ``cells[i]``, the
     ascending members of its cell, and ``(anchor, key)`` when it draws from
-    ``index[j[anchor]][key]``: the ascending ``v`` with
-    ``colors[j[anchor]][v], cell[v] == key``.
+    ``index[j[anchor]][key]``: the ascending ``v`` with ``key`` = (colour of
+    ``H[j[anchor], v]``, ``cell[v]``).  ``checks[i]``: ``i``'s pairs at ``k < i``.
     """
 
-    cols: tuple
     cells: tuple
     levels: tuple
     index: tuple
+    checks: tuple
 
 
-def _plan(colors):
-    n = len(colors)
-    cols = tuple(zip(*colors))
-    cell = _refine(colors, cols)
+def _plan(pairs):
+    n = len(pairs)
+    cell = _refine(pairs)
     members = {}
     for v, c in enumerate(cell):
         members.setdefault(c, []).append(v)
@@ -191,7 +190,8 @@ def _plan(colors):
 
     def class_size(ck, c, ci):
         if ck not in sizes:
-            sizes[ck] = Counter(zip(colors[members[ck][0]], cell))
+            row = pairs[members[ck][0]]
+            sizes[ck] = Counter((row.get(v, (0, 0))[0], cv) for v, cv in enumerate(cell))
         return sizes[ck][c, ci]
 
     levels = []
@@ -202,68 +202,68 @@ def _plan(colors):
         if len(members[ci]) > 1:
             # the anchor is the earliest k < i whose class is smallest;
             # ``first`` maps each (cell of k, H[k, i]) to its earliest k
-            col = cols[i]
-            first = {(cell[k], col[k]): k for k in range(i - 1, -1, -1)}
+            row = pairs[i]
+            first = {(cell[k], row.get(k, (0, 0))[1]): k for k in range(i - 1, -1, -1)}
             size, k = min(
                 ((class_size(ck, c, ci), k) for (ck, c), k in first.items()),
                 default=(n, None),
             )
             if size < len(members[ci]):
-                level = (k, (col[k], ci))
+                level = (k, (row.get(k, (0, 0))[1], ci))
                 wanted.setdefault(cell[k], set()).add(level[1])
         levels.append(level)
     index = [None] * n
-    for c, keys in wanted.items():
-        for u in members[c]:
-            row = colors[u]
+    for ck, keys in wanted.items():
+        for u in members[ck]:
+            get = pairs[u].get
             index[u] = {
-                key: tuple(v for v in members[key[1]] if row[v] == key[0]) for key in keys
+                (c, cv): tuple(v for v in members[cv] if get(v, (0, 0))[0] == c) for c, cv in keys
             }
     return _Plan(
-        cols=cols,
         cells=tuple(members[c] for c in cell),
         levels=tuple(levels),
         index=tuple(index),
+        checks=tuple(tuple((k, p) for k, p in pairs[i].items() if k < i) for i in range(n)),
     )
 
 
-def _search_pruned(colors, plan, prefix, roots, max_results, node_budget, collect):
+def _search_pruned(pairs, plan, prefix, roots, max_results, node_budget, collect):
     """The pruned search over the candidate lists of ``plan``, under a fixed prefix.
 
     Indices ``0..len(prefix)-1`` map to ``prefix``, which must pass the
     pairwise test, and level ``len(prefix)`` draws from ``roots``.  Returns
     (perms, count, nodes, exhausted) as ``_search_leaf`` does.
     """
-    n = len(colors)
-    last = n - 1
-    cols, cells, levels, index = plan.cols, plan.cells, plan.levels, plan.index
+    last = len(pairs) - 1
+    cells, levels, index, checks = plan.cells, plan.levels, plan.index, plan.checks
     start = len(prefix)
     # the images assigned so far: j[k] for k < i at level i
     j = list(prefix)
-    used = [False] * n
-    for v in prefix:
-        used[v] = True
-    its = [None] * n
+    used = set(prefix)
+    its = [None] * len(pairs)
     its[start] = iter(roots)
     nodes = 0
     count = 0
     found = []
     i = start
     while i >= start:
-        ri, ci = colors[i], cols[i]
+        check = checks[i]
         for v in its[i]:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return found, count, nodes - 1, False
-            if used[v]:
+            if v in used:
                 continue
-            # v shares the cell of i, so H[v, v] == H[i, i] already holds;
-            # zip stops at the i images assigned so far
-            rv, cv = colors[v], cols[v]
-            for jk, a, b in zip(j, ri, ci):
-                if rv[jk] != a or cv[jk] != b:
+            # v shares the cell of i, so H[v, v] == H[i, i] already holds.  It
+            # needs i's pairs at j[k] for each k in check, and no other key among
+            # the i images assigned so far (none is left when check has all i)
+            rv = pairs[v]
+            for k, p in check:
+                if rv.get(j[k]) != p:
                     break
             else:
+                if len(check) < i and len(used & rv.keys()) != len(check):
+                    continue
                 if i == last:
                     count += 1
                     if collect:
@@ -272,7 +272,7 @@ def _search_pruned(colors, plan, prefix, roots, max_results, node_budget, collec
                         return found, count, nodes, False
                     continue
                 j.append(v)
-                used[v] = True
+                used.add(v)
                 i += 1
                 level = levels[i]
                 its[i] = iter(
@@ -282,11 +282,11 @@ def _search_pruned(colors, plan, prefix, roots, max_results, node_budget, collec
         else:
             i -= 1
             if i >= start:
-                used[j.pop()] = False
+                used.remove(j.pop())
     return found, count, nodes, True
 
 
-def _stabiliser_chain(h, colors, plan):
+def _stabiliser_chain(h, pairs, plan):
     """The symmetry group as a stabiliser chain with base 0, 1, ..., n-1.
 
     Returns (chain, nodes).  ``chain[i]`` maps each point ``v`` of the orbit
@@ -300,7 +300,7 @@ def _stabiliser_chain(h, colors, plan):
     generated so far, so there are at most n-1 generators, and each is checked
     against H itself.
     """
-    n = len(colors)
+    n = len(pairs)
     levels, cells, index = plan.levels, plan.cells, plan.index
     identity = tuple(range(n))
     gens = []
@@ -313,7 +313,7 @@ def _stabiliser_chain(h, colors, plan):
         for v in cells[i] if level is None else index[level[0]][level[1]]:
             if v <= i or v in reps:
                 continue
-            found, _, seen, _ = _search_pruned(colors, plan, identity[:i], (v,), 1, None, True)
+            found, _, seen, _ = _search_pruned(pairs, plan, identity[:i], (v,), 1, None, True)
             nodes += seen
             if found:
                 gens.append(found[0])
@@ -405,16 +405,16 @@ def find_symmetries(h, cfg=None):
             h, cfg.max_results, cfg.node_budget, collect
         )
     else:
-        colors = _color_table(h)
-        plan = _plan(colors)
+        pairs = _color_table(h)
+        plan = _plan(pairs)
         if cfg.node_budget is None and cfg.max_results is None:
-            chain, nodes = _stabiliser_chain(h, colors, plan)
+            chain, nodes = _stabiliser_chain(h, pairs, plan)
             count = prod(map(len, chain))
             found = _chain_elements(chain) if collect else []
             exhausted = True
         else:
             found, count, nodes, exhausted = _search_pruned(
-                colors, plan, (), plan.cells[0], cfg.max_results, cfg.node_budget, collect
+                pairs, plan, (), plan.cells[0], cfg.max_results, cfg.node_budget, collect
             )
 
     # every image is a permutation by construction, so none is re-validated

@@ -7,10 +7,20 @@ facts are recomputed by brute force over all pairs or from the full
 multiplication table.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from permsym import ExactMatrix, GaussRational, GroupError, Perm, PolyScalar, parse
+from permsym import (
+    ExactMatrix,
+    GaussRational,
+    GroupError,
+    Perm,
+    PolyScalar,
+    param,
+    parse,
+    sigma_at,
+)
 from permsym.scalars import Monomial
 
 
@@ -92,6 +102,37 @@ def reference_search(h):
                 found.append(tuple(j))
             i -= 1
     return found, trials
+
+
+# -- dense colour refinement: the reference for the sparse one --------------
+
+
+def dense_refine(colors):
+    """Stable colour refinement over a dense n x n table of colour ints.
+
+    The first partition is by diagonal colour.  Each round splits a cell by
+    the multiset of (out-colour, in-colour, cell of v) over every v of each
+    member's row, zeros included, and numbers the new cells in order of
+    first appearance, until the number of cells stops growing or every cell
+    is a single index.  Returns ``cell[u]`` for every ``u``.
+    """
+    n = len(colors)
+    cols = tuple(zip(*colors))
+    cell = [row[u] for u, row in enumerate(colors)]
+    count = len(set(cell))
+    while count < n:
+        sigs = {}
+        cell = [
+            sigs.setdefault(
+                (cell[u], frozenset(Counter(zip(colors[u], cols[u], cell)).items())),
+                len(sigs),
+            )
+            for u in range(n)
+        ]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    return cell
 
 
 # -- naive dense kernels: references for the zero-skipping ones --------------
@@ -375,6 +416,18 @@ ISING4_ROWS = [
     "0 0 0 0 0 0 b 0 0 0 b 0 b 0 0 b",
     "0 0 0 0 0 0 0 b 0 0 0 b 0 b b 4*a",
 ]
+
+
+def ising_chain(L):
+    """The cyclic L-site transverse Ising chain, built as the catalog's ising4."""
+    z = [sigma_at(3, j, L) for j in range(1, L + 1)]
+    x = [sigma_at(1, j, L) for j in range(1, L + 1)]
+    coupling = ExactMatrix.zeros(1 << L)
+    field = ExactMatrix.zeros(1 << L)
+    for j in range(L):
+        coupling = coupling + z[j] @ z[(j + 1) % L]
+        field = field + x[j]
+    return coupling * param("a") + field * param("b")
 
 
 def ising4_printed():

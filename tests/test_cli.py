@@ -609,3 +609,15 @@ class TestLargeGroups:
         random.Random(0).shuffle(image)
         path = graph_file(tmp_path, "q5", *cube(5), image)
         self.count_only(capsys, path, 3840, 10.0)
+
+    def test_node_budget_on_a_long_path(self, capsys, tmp_path):
+        # a path needs about n/2 refinement rounds, all before the budget counts a node
+        path = graph_file(tmp_path, "path512", 512, lambda u, v: abs(u - v) == 1)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "find", "--input", path, "--node-budget", "1", "--format", "json"
+        )
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (4, "")
+        search = json.loads(out)["search"]
+        assert (search["nodes_visited"], search["exhausted"]) == (1, False)

@@ -16,16 +16,15 @@ from permsym import (
     is_invariant_subspace,
     is_symmetry,
     PolyScalar,
-    param,
     parse,
     projectors_from_involution,
-    sigma_at,
     verify_eigenpair,
 )
 
 from helpers import (
     _rref as reference_rref,
     constant_kernel_basis,
+    ising_chain,
     rand_scalar,
     rand_symmetric,
     reference_search,
@@ -319,18 +318,6 @@ class TestBlockFormOracle:
         b2 = SubspaceBasis([(1, 1, 1, 1), (0, 0, 1, 0)])
         with pytest.raises(ValueError, match="linearly dependent"):
             block_form(hubbard, b1, b2)
-
-
-def ising_chain(L):
-    """The cyclic L-site transverse Ising chain, built as the catalog's ising4."""
-    z = [sigma_at(3, j, L) for j in range(1, L + 1)]
-    x = [sigma_at(1, j, L) for j in range(1, L + 1)]
-    coupling = ExactMatrix.zeros(1 << L)
-    field = ExactMatrix.zeros(1 << L)
-    for j in range(L):
-        coupling = coupling + z[j] @ z[(j + 1) % L]
-        field = field + x[j]
-    return coupling * param("a") + field * param("b")
 
 
 def closed_form_bases(p):

@@ -21,10 +21,17 @@ from permsym.search import (
     MODE_PRUNED,
     _color_table,
     _plan,
+    _refine,
     _stabiliser_chain,
 )
 
-from helpers import rand_symmetric, reference_search, small_entry_pool
+from helpers import (
+    dense_refine,
+    ising_chain,
+    rand_symmetric,
+    reference_search,
+    small_entry_pool,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -384,17 +391,89 @@ def color_matrices(draw, max_n=6):
     return ExactMatrix.from_rows([[entries[u, v] for v in range(n)] for u in range(n)])
 
 
+@st.composite
+def sparse_color_matrices(draw, max_n=16):
+    """A square matrix with at most 2n non-zero entries of 1 to 3, symmetric or not."""
+    n = draw(st.integers(1, max_n))
+    symmetric = draw(st.booleans())
+    index = st.integers(0, n - 1)
+    rows = [[0] * n for _ in range(n)]
+    for u, v, x in draw(st.lists(st.tuples(index, index, st.integers(1, 3)), max_size=2 * n)):
+        rows[u][v] = x
+        if symmetric:
+            rows[v][u] = x
+    return ExactMatrix.from_rows(rows)
+
+
+@st.composite
+def tree_color_matrices(draw, max_n=24):
+    """A tree whose vertex u > 0 hangs from an earlier vertex, often u - 1, with
+    edge weights of 1 or 2, one or both ways: long paths need many rounds."""
+    n = draw(st.integers(1, max_n))
+    both_ways = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for u in range(1, n):
+        parent = draw(st.one_of(st.just(u - 1), st.integers(0, u - 1)))
+        rows[parent][u] = draw(st.integers(1, 2))
+        if both_ways:
+            rows[u][parent] = rows[parent][u]
+    return ExactMatrix.from_rows(rows)
+
+
 class TestColorTable:
     @seed(2720)
     @PROPERTY_SETTINGS
     @given(color_matrices(max_n=12))
     def test_equal_colours_exactly_for_equal_entries(self, h):
-        colors = _color_table(h)
-        cells = [(h[u, v], colors[u][v]) for u in range(h.rows) for v in range(h.cols)]
+        pairs = _color_table(h)
+        n = h.rows
+        cells = [(h[u, v], pairs[u].get(v, (0, 0))[0]) for u in range(n) for v in range(n)]
         for x, a in cells:
             for y, b in cells:
                 assert (x == y) == (a == b)
         assert all(c == 0 for x, c in cells if not x)
+
+    @seed(2721)
+    @PROPERTY_SETTINGS
+    @given(st.one_of(color_matrices(max_n=12), sparse_color_matrices()))
+    def test_keys_are_the_non_zero_pairs_and_mirror(self, h):
+        pairs = _color_table(h)
+        assert len(pairs) == h.rows
+        for u in range(h.rows):
+            for v in range(h.rows):
+                assert (v in pairs[u]) == bool(h[u, v] or h[v, u])
+                if v in pairs[u]:
+                    assert pairs[u][v] == pairs[v][u][::-1]
+
+
+def dense_colors(pairs):
+    """The dense n x n table of out-colours that ``pairs`` describes."""
+    n = len(pairs)
+    return [[pairs[u].get(v, (0, 0))[0] for v in range(n)] for u in range(n)]
+
+
+class TestRefinement:
+    """The refinement over non-zero pairs gives the dense refinement's cells,
+    numbered the same way."""
+
+    @seed(1971)
+    @PROPERTY_SETTINGS
+    @given(st.one_of(color_matrices(max_n=12), sparse_color_matrices(), tree_color_matrices()))
+    def test_matches_dense_refinement(self, h):
+        pairs = _color_table(h)
+        assert _refine(pairs) == dense_refine(dense_colors(pairs))
+
+    def test_spin_chains_and_paths_match_dense_refinement(self):
+        paths = [
+            ExactMatrix.from_rows([[int(abs(u - v) == 1) for v in range(n)] for u in range(n)])
+            for n in (2, 9, 40)
+        ]
+        # index 0 and index 2 have the same non-zero pairs into the same cells,
+        # but different diagonals: only the cell they start in tells them apart
+        diagonal = ExactMatrix.from_rows([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
+        for h in (build("ising4"), *map(ising_chain, (5, 6, 7)), *paths, diagonal):
+            pairs = _color_table(h)
+            assert _refine(pairs) == dense_refine(dense_colors(pairs))
 
 
 def relabel(h, sigma):
