@@ -33,6 +33,7 @@ from .search import (
     MODE_PRUNED,
     SearchConfig,
     find_symmetries,
+    first_non_symmetry,
     is_symmetry,
 )
 
@@ -40,6 +41,11 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
+
+# The largest dimension leaf-check runs without --node-budget: 8! = 40,320
+# leaves.  Past it the leaves grow as n! (16! for ising4), so a plain call
+# would not end.
+LEAF_MAX_UNBUDGETED = 8
 
 _NORMALIZATION_NOTE = (
     "basis vectors are primitive integer vectors; unit-norm versions differ "
@@ -169,17 +175,27 @@ def _perm_records(perms):
 
 
 def _run_search(matrix, args):
+    """Search, then re-verify every listed symmetry against ``matrix``:
+    (result, config, report's search dict, search seconds, re-verification seconds)."""
     cfg = _search_config(args)
     if args.jobs < 1:
         raise ValueError("jobs must be positive")
+    if (cfg.mode == MODE_LEAF_CHECK and cfg.node_budget is None
+            and matrix.is_square() and matrix.rows > LEAF_MAX_UNBUDGETED):
+        raise ValueError(
+            f"--mode leaf tries all {matrix.rows}! orderings of dimension {matrix.rows}; "
+            f"give --node-budget above dimension {LEAF_MAX_UNBUDGETED}"
+        )
     start = time.perf_counter()
     result = find_symmetries(matrix, cfg)
     wall = time.perf_counter() - start
     if not matrix.is_hermitian():
         print("warning: input matrix is not hermitian", file=sys.stderr)
-    for p in result.perms:
-        if not is_symmetry(matrix, p):
-            raise AssertionError(f"internal error: emitted non-symmetry {p}")
+    start = time.perf_counter()
+    bad = first_non_symmetry(matrix, result.perms)
+    verify = time.perf_counter() - start
+    if bad is not None:
+        raise AssertionError(f"internal error: emitted non-symmetry {bad}")
     search_info = {
         "mode": cfg.mode,
         "jobs": 1,  # workers used: every search runs serially
@@ -190,7 +206,7 @@ def _run_search(matrix, args):
         "exhausted": result.exhausted,
         "count": result.count,
     }
-    return result, cfg, search_info, wall
+    return result, cfg, search_info, wall, verify
 
 
 def _budget_exit(result, cfg):
@@ -337,12 +353,12 @@ def _timing_text(report):
 
 def cmd_find(args):
     matrix, info, load = _load_input(args)
-    result, cfg, search_info, wall = _run_search(matrix, args)
+    result, cfg, search_info, wall, verify = _run_search(matrix, args)
     report = {
         "command": "find",
         "input": info,
         "search": search_info,
-        "timing": {"wall_s": wall, "load_s": load},
+        "timing": {"wall_s": wall, "load_s": load, "verify_s": verify},
     }
     if not args.count_only:
         report["symmetries"] = _perm_records(result.perms)
@@ -382,7 +398,7 @@ def _group_text(report):
 
 def cmd_group(args):
     matrix, info, load = _load_input(args)
-    result, _, search_info, wall = _run_search(matrix, args)
+    result, _, search_info, wall, verify = _run_search(matrix, args)
     if not result.exhausted:
         print("search stopped before exhausting the tree; group analysis needs "
               "the complete symmetry set", file=sys.stderr)
@@ -405,7 +421,7 @@ def cmd_group(args):
             "conjugacy_classes": [list(c) for c in groups.conjugacy_classes(group)],
             "generators": [list(p.image) for p in gens],
         },
-        "timing": {"wall_s": wall, "load_s": load},
+        "timing": {"wall_s": wall, "load_s": load, "verify_s": verify},
     }
     _emit(report, args, _group_text)
     return EXIT_OK

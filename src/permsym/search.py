@@ -58,6 +58,12 @@ colours of ``H[u, v]`` and ``H[v, u]`` where either is non-zero, so refinement
 and search skip zeros (as in saucy, Darga et al. 2004) and do no polynomial
 arithmetic.  Only ``pruned`` builds the pairs and the plan.  ``find_symmetries``
 depends on H and its ``SearchConfig`` only, and runs serially in the calling process.
+
+``is_symmetry`` tests one permutation against H itself: it is the oracle,
+and it checks leaf-check's leaves and the chain's generators.  The CLI
+re-verifies every listed symmetry with ``first_non_symmetry``, the same
+predicate group-major: the outer loop runs over the non-zeros of H and the
+inner one, at C level, over a block of elements.
 """
 
 from __future__ import annotations
@@ -119,6 +125,51 @@ def is_symmetry(h, p):
         for v, x in row.items():
             y = target.get(img[v])
             if y is not x and y != x:
+                return False
+    return True
+
+
+# Elements per pass of ``first_non_symmetry``.  A pass holds its elements'
+# images as n columns, one reference per element and index on top of the
+# images themselves.  Re-verifying Q6's 46,080 elements in one block raised
+# the peak RSS of a find from 45 to 70 MiB; in blocks of 4,096, to 46 MiB.
+# Each block costs one more walk over the non-zeros of H.
+VERIFY_BLOCK = 4096
+
+
+def first_non_symmetry(h, perms):
+    """The first of ``perms``, in order, that ``is_symmetry`` rejects, or None.
+
+    The same predicate with the loops swapped: for each non-zero ``(v, x)`` of
+    row ``u``, one pass over a block of elements reads entry ``p(v)`` of row
+    ``p(u)`` for each ``p`` and counts those that equal ``x`` (``list.count``
+    tests ``is`` first, then ``==``; a missing entry is None, which equals no
+    non-zero).  As in ``is_symmetry``, no zero needs a check.  A block that
+    fails, or that ``is_symmetry`` would refuse (a non-square ``h``, a length
+    other than n), is walked again with ``is_symmetry``, which names its first
+    rejected element or raises its ``ValueError``.
+    """
+    n = h.rows
+    for start in range(0, len(perms), VERIFY_BLOCK):
+        block = perms[start:start + VERIFY_BLOCK]
+        if h.is_square() and set(map(len, block)) == {n} and _all_symmetries(h._r, block):
+            continue
+        for p in block:
+            if not is_symmetry(h, p):
+                return p
+    return None
+
+
+def _all_symmetries(rows, block):
+    """True iff every element of ``block`` sends each non-zero of the rows
+    ``rows`` to an equal entry: one pass over the block per non-zero."""
+    m = len(block)
+    cols = list(zip(*[p.image for p in block]))
+    for u, row in enumerate(rows):
+        # row p(u) of every element p, gathered once per row u
+        targets = list(map(rows.__getitem__, cols[u]))
+        for v, x in row.items():
+            if list(map(dict.get, targets, cols[v])).count(x) != m:
                 return False
     return True
 

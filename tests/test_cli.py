@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from permsym import ExactMatrix, Perm, build, find_symmetries
+import permsym.cli
+from permsym import ExactMatrix, Perm, SearchResult, build, find_symmetries, is_symmetry
 from permsym.cli import main, read_matrix_file, render_json
 from permsym.models import CATALOG
 from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, ZERO
@@ -71,6 +72,27 @@ class TestFind:
         report = json_report(capsys, "find", "--model", "hubbard2", "--mode", "leaf")
         assert report["search"]["mode"] == "leaf-check"
         assert report["search"]["count"] == 4
+
+    @pytest.mark.parametrize("command", ["find", "group"])
+    def test_unbudgeted_leaf_check_is_refused_above_dimension_8(self, capsys, tmp_path, command):
+        # ising4 has 16! leaves; a second symmetry would stop --max-results 2 only late
+        path = tmp_path / "k9.txt"
+        path.write_text("9 9\n" + "\n".join(" ".join(["1"] * 9) for _ in range(9)) + "\n")
+        for argv in (["--model", "ising4", "--max-results", "2"], ["--input", str(path)]):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, command, *argv, "--mode", "leaf")
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "give --node-budget" in err
+
+    def test_leaf_check_runs_up_to_dimension_8_or_with_a_budget(self, capsys):
+        assert run_cli(capsys, "find", "--model", "hubbard2", "--mode", "leaf")[0] == 0
+        code, out, err = run_cli(
+            capsys, "find", "--model", "ising4", "--mode", "leaf", "--node-budget", "100"
+        )
+        assert (code, err) == (4, "")
+        assert "nodes visited: 100\n" in out
 
     def test_jobs_flag_same_output(self, capsys):
         # the report gives the one worker used, whatever --jobs asks for
@@ -401,7 +423,8 @@ input_info = st.one_of(
                            "parameters": st.dictionaries(texts, texts, max_size=3)}),
     st.fixed_dictionaries({"kind": texts, "path": texts, "dimension": ints}),
 )
-timing = st.fixed_dictionaries({"wall_s": scalars, "load_s": scalars})
+timing = st.fixed_dictionaries({"wall_s": scalars, "load_s": scalars},
+                               optional={"verify_s": scalars})
 report_shapes = {
     "find": st.fixed_dictionaries(
         {"command": texts, "input": input_info, "search": search_info, "timing": timing},
@@ -487,8 +510,22 @@ def test_timing_reports_the_load(capsys, tmp_path, argv):
     path = tmp_path / "h.txt"
     path.write_text("2 2\n0 a\na 0\n")
     timing = json_report(capsys, *(a.format(file=path) for a in argv))["timing"]
-    assert sorted(timing) == ["load_s", "wall_s"]
-    assert timing["load_s"] >= 0 and timing["wall_s"] >= 0
+    if argv[0] == "decompose":
+        assert sorted(timing) == ["load_s", "wall_s"]
+    else:
+        assert sorted(timing) == ["load_s", "verify_s", "wall_s"]
+    assert all(seconds >= 0 for seconds in timing.values())
+
+
+def test_emitted_non_symmetry_is_an_internal_error(monkeypatch):
+    # hubbard2's symmetries, with two non-symmetries in the 2nd and 3rd places
+    perms = (Perm([0, 1, 2, 3]), Perm([1, 0, 2, 3]), Perm([0, 1, 3, 2]), Perm([3, 2, 1, 0]))
+    h = build("hubbard2")
+    assert [is_symmetry(h, p) for p in perms] == [True, False, False, True]
+    found = SearchResult(perms=perms, count=4, nodes_visited=1, exhausted=True)
+    monkeypatch.setattr(permsym.cli, "find_symmetries", lambda matrix, cfg: found)
+    with pytest.raises(AssertionError, match=r"^internal error: emitted non-symmetry 1,0,2,3$"):
+        main(["find", "--model", "hubbard2"])
 
 
 class TestJsonLayout:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
@@ -16,13 +17,17 @@ from permsym import (
     is_symmetry,
 )
 import permsym.search
+from permsym.scalars import parse
 from permsym.search import (
     MODE_LEAF_CHECK,
     MODE_PRUNED,
+    VERIFY_BLOCK,
+    _all_symmetries,
     _color_table,
     _plan,
     _refine,
     _stabiliser_chain,
+    first_non_symmetry,
 )
 
 from helpers import (
@@ -577,3 +582,94 @@ class TestStabiliserChain:
         monkeypatch.setattr(permsym.search, "is_symmetry", lambda h, p: False)
         with pytest.raises(AssertionError, match="internal error"):
             find_symmetries(build("hubbard2"), SearchConfig(count_only=True))
+
+
+# -- group-major re-verification ---------------------------------------------
+
+
+def oracle_first_non_symmetry(h, perms):
+    return next((p for p in perms if not is_symmetry(h, p)), None)
+
+
+@st.composite
+def parametric_matrices(draw):
+    """A colour matrix whose entry k is a fresh parse of ``a*k + b``: equal
+    entries are distinct objects, so ``==`` and not identity decides."""
+    h = draw(st.one_of(color_matrices(), sparse_color_matrices(max_n=8)))
+    n = h.rows
+    return ExactMatrix.from_rows(
+        [[parse(f"a*{h[u, v]}+b") if h[u, v] else 0 for v in range(n)] for u in range(n)]
+    )
+
+
+@st.composite
+def listings(draw):
+    """(H, perms): up to 40 of H's symmetries, drawn with repeats, and random
+    permutations, most of them non-symmetries, inserted at random positions.
+    H is dense or sparse, symmetric or not."""
+    h = draw(st.one_of(
+        color_matrices(), sparse_color_matrices(max_n=10), tree_color_matrices(max_n=10),
+        parametric_matrices(),
+    ))
+    found = find_symmetries(h, SearchConfig(max_results=40)).perms
+    perms = draw(st.lists(st.sampled_from(found), max_size=12))
+    for image in draw(st.lists(st.permutations(range(h.rows)), max_size=3)):
+        perms.insert(draw(st.integers(0, len(perms))), Perm(image))
+    return h, perms
+
+
+class TestFirstNonSymmetry:
+    @seed(3141)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(listings(), st.sampled_from([1, 2, 3, 7, VERIFY_BLOCK]))
+    def test_matches_is_symmetry_in_order(self, case, block):
+        h, perms = case
+        with mock.patch.object(permsym.search, "VERIFY_BLOCK", block):
+            assert first_non_symmetry(h, perms) is oracle_first_non_symmetry(h, perms)
+        # the kernel itself, whose false rejections the walk with is_symmetry would hide
+        if perms:
+            assert _all_symmetries(h._r, perms) == all(is_symmetry(h, p) for p in perms)
+
+    def test_distinct_equal_entries_are_compared_by_value(self):
+        rows = [[parse(x) for x in row] for row in (["a+b", "t"], ["t", "b+a"])]
+        h = ExactMatrix.from_rows(rows)
+        assert h[0, 0] == h[1, 1] and h[0, 0] is not h[1, 1]
+        perms = [Perm.identity(2), Perm([1, 0])]
+        assert _all_symmetries(h._r, perms)
+        assert first_non_symmetry(h, perms) is None
+
+    def test_a_non_zero_sent_onto_a_zero(self):
+        # a directed 3-cycle: every row has one non-zero, and the swap sends
+        # the non-zero H[0, 1] onto the zero H[1, 0]
+        h = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        swap = Perm([1, 0, 2])
+        perms = [Perm.identity(3), Perm([1, 2, 0]), swap, Perm([2, 1, 0])]
+        assert first_non_symmetry(h, perms) is swap
+
+    def test_empty_list(self):
+        assert first_non_symmetry(build("hubbard2"), []) is None
+        assert first_non_symmetry(ExactMatrix.zeros(2, 3), ()) is None
+
+    def test_lists_longer_than_a_block(self):
+        k7 = find_symmetries(ExactMatrix.from_rows([[1] * 7] * 7)).perms
+        assert len(k7) == 5040 > VERIFY_BLOCK
+        assert first_non_symmetry(ExactMatrix.from_rows([[1] * 7] * 7), k7) is None
+        # a distinct last diagonal entry: the symmetries are the 720 that fix 6
+        h = ExactMatrix.from_rows([[1] * 7] * 6 + [[1] * 6 + [2]])
+        assert first_non_symmetry(h, k7) is k7[1]
+        fixing = [p for p in k7 if p(6) == 6] * 7
+        assert first_non_symmetry(h, fixing) is None
+        bad = [Perm([6, 0, 1, 2, 3, 4, 5]), Perm([0, 1, 2, 3, 4, 6, 5])]
+        fixing[4500:4500] = bad[:1]
+        fixing.insert(4900, bad[1])
+        assert first_non_symmetry(h, fixing) is bad[0]
+        assert oracle_first_non_symmetry(h, fixing) is bad[0]
+
+    def test_refusals_are_those_of_is_symmetry(self):
+        h = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        swap = Perm([1, 0, 2])
+        assert first_non_symmetry(h, [swap, Perm.identity(4)]) is swap
+        with pytest.raises(ValueError, match="length 4"):
+            first_non_symmetry(h, [Perm.identity(3), Perm.identity(4), swap])
+        with pytest.raises(ValueError, match="square"):
+            first_non_symmetry(ExactMatrix.zeros(2, 3), [Perm.identity(2)])
