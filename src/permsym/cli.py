@@ -27,7 +27,7 @@ from .decompose import block_form, column_space_basis, projectors_from_involutio
 from .matrices import ExactMatrix
 from .models import CATALOG, ModelError, build, list_models
 from .perms import Perm, _index, cycle_summary
-from .scalars import ParseError, parse
+from .scalars import ZERO, ParseError, parse
 from .search import (
     MODE_LEAF_CHECK,
     MODE_PRUNED,
@@ -99,24 +99,25 @@ def read_matrix_file(path):
         raise MatrixFileError(
             f"{path}: expected {rows} entry rows after the header, found {len(body)}"
         )
-    entries = []
-    # each distinct token is parsed once, so equal entries share one scalar
-    parsed = {}
+    # each distinct token is parsed once and each distinct value kept once,
+    # so equal entries share one scalar; a zero-valued token maps to ZERO,
+    # which no row dict holds
+    parsed, values, row_dicts = {}, {}, []
     for line_no, line in body:
         tokens = line.split()
         if len(tokens) != cols:
-            raise MatrixFileError(
-                f"{path}:{line_no}: expected {cols} entries, found {len(tokens)}"
-            )
-        for token in tokens:
-            value = parsed.get(token)
-            if value is None:
+            raise MatrixFileError(f"{path}:{line_no}: expected {cols} entries, "
+                                  f"found {len(tokens)}")
+        for token in dict.fromkeys(tokens):
+            if token not in parsed:
                 try:
-                    value = parsed[token] = parse(token)
+                    value = parse(token)
                 except ParseError as exc:
                     raise MatrixFileError(f"{path}:{line_no}: {token!r}: {exc}") from None
-            entries.append(value)
-    return ExactMatrix(rows, cols, entries)
+                parsed[token] = values.setdefault(value, value) if value else ZERO
+        row = map(parsed.__getitem__, tokens)
+        row_dicts.append({c: x for c, x in enumerate(row) if x is not ZERO})
+    return ExactMatrix._trusted(rows, cols, tuple(row_dicts))
 
 
 def _load_input(args):
@@ -136,16 +137,9 @@ def _load_input(args):
             bindings[name] = parse(value)
         matrix = build(args.model, bindings)
         spec = CATALOG[args.model]
-        described = {
-            name: str(bindings.get(name, parse(name)))
-            for name in spec.parameter_names()
-        }
-        info = {
-            "kind": "model",
-            "name": args.model,
-            "dimension": spec.dimension,
-            "parameters": described,
-        }
+        described = {name: str(bindings.get(name, parse(name))) for name in spec.parameter_names()}
+        info = {"kind": "model", "name": args.model, "dimension": spec.dimension,
+                "parameters": described}
     elif args.param:
         raise ModelError("--param applies to --model inputs only")
     else:
@@ -207,14 +201,6 @@ def _run_search(matrix, args):
         "count": result.count,
     }
     return result, cfg, search_info, wall, verify
-
-
-def _budget_exit(result, cfg):
-    return (
-        not result.exhausted
-        and cfg.node_budget is not None
-        and result.nodes_visited >= cfg.node_budget
-    )
 
 
 # -- JSON rendering --------------------------------------------------------
@@ -304,9 +290,11 @@ def render_json(value):
 def _emit(report, args, text_renderer):
     if args.format == "json":
         print(render_json(report))
-    else:
-        for line in text_renderer(report):
-            print(line)
+        return
+    for line in text_renderer(report):
+        print(line)
+    if "timing" in report:
+        print(f"wall time: {report['timing']['wall_s']:.6f} s")
 
 
 # -- find ----------------------------------------------------------------
@@ -317,14 +305,17 @@ def _find_text(report):
     yield from _search_text(report["search"])
     if "symmetries" in report:
         yield f"symmetries found: {report['search']['count']}"
-        for rec in report["symmetries"]:
-            image = ",".join(str(j) for j in rec["image"])
-            yield f"  {image}   cycles {rec['cycles']}   order {rec['order']}"
+        yield from _symmetry_text(report["symmetries"])
     else:
         yield f"symmetry count: {report['search']['count']}"
     if "note" in report:
         yield f"note: {report['note']}"
-    yield from _timing_text(report)
+
+
+def _symmetry_text(records):
+    for rec in records:
+        image = ",".join(map(str, rec["image"]))
+        yield f"  {image}   cycles {rec['cycles']}   order {rec['order']}"
 
 
 def _input_text(info):
@@ -347,10 +338,6 @@ def _search_text(search):
         yield f"node budget: {search['node_budget']}"
 
 
-def _timing_text(report):
-    yield f"wall time: {report['timing']['wall_s']:.6f} s"
-
-
 def cmd_find(args):
     matrix, info, load = _load_input(args)
     result, cfg, search_info, wall, verify = _run_search(matrix, args)
@@ -365,9 +352,8 @@ def cmd_find(args):
         if result.exhausted and result.count == 1:
             report["note"] = "only the identity permutation is a symmetry"
     _emit(report, args, _find_text)
-    if _budget_exit(result, cfg):
-        return EXIT_BUDGET
-    return EXIT_OK
+    stopped = not result.exhausted and cfg.node_budget is not None
+    return EXIT_BUDGET if stopped and result.nodes_visited >= cfg.node_budget else EXIT_OK
 
 
 # -- group ---------------------------------------------------------------
@@ -390,10 +376,7 @@ def _group_text(report):
     for image in g["generators"]:
         yield "  " + ",".join(str(j) for j in image)
     yield "elements:"
-    for rec in report["symmetries"]:
-        image = ",".join(str(j) for j in rec["image"])
-        yield f"  {image}   cycles {rec['cycles']}   order {rec['order']}"
-    yield from _timing_text(report)
+    yield from _symmetry_text(report["symmetries"])
 
 
 def cmd_group(args):
@@ -434,20 +417,13 @@ def _decompose_text(report):
     yield from _input_text(report["input"])
     d = report["decomposition"]
     yield f"involution: {','.join(str(j) for j in d['involution'])}"
-    yield "basis of the first invariant subspace:"
-    for v in d["basis1"]:
-        yield "  (" + ", ".join(str(x) for x in v) + ")"
-    yield "basis of the second invariant subspace:"
-    for v in d["basis2"]:
-        yield "  (" + ", ".join(str(x) for x in v) + ")"
-    yield "block of the first subspace:"
-    for row in d["block1"]:
-        yield "  [" + "  ".join(row) + "]"
-    yield "block of the second subspace:"
-    for row in d["block2"]:
-        yield "  [" + "  ".join(row) + "]"
+    layouts = (("basis", "basis of the {} invariant subspace:", "  ({})", ", "),
+               ("block", "block of the {} subspace:", "  [{}]", "  "))
+    for key, title, line, sep in layouts:
+        for k, which in ((1, "first"), (2, "second")):
+            yield title.format(which)
+            yield from (line.format(sep.join(map(str, v))) for v in d[f"{key}{k}"])
     yield f"note: {d['note']}"
-    yield from _timing_text(report)
 
 
 def cmd_decompose(args):

@@ -3,7 +3,8 @@
 An involution P yields the projector pair (I+P)/2, (I-P)/2.  Subspace bases
 are primitive integer vectors (entry gcd 1, first nonzero entry positive),
 which keeps everything inside exact arithmetic; unit-norm versions of such
-vectors would only differ by irrational scalar factors.
+vectors would only differ by irrational scalar factors.  A basis holds its
+vectors as sparse rows, as a matrix does, and is made dense only for a report.
 
 Every question here is answered by one exact Gauss-Jordan elimination over
 sparse rows (``_rref``): the rank of a basis, the column space of a
@@ -15,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import index
 
-from .matrices import DimensionError, ExactMatrix
+from .matrices import DimensionError, ExactMatrix, _set
 from .scalars import PolyScalar, as_scalar, rational
 
 
@@ -29,35 +31,52 @@ class ProjectorPair:
 
 
 class SubspaceBasis:
-    """Linearly independent primitive integer column vectors."""
+    """Linearly independent primitive integer column vectors, stored as sparse
+    rows (index to non-zero int) of one length ``n``; ``vectors`` and
+    iteration build the dense tuples on each read, for a report."""
 
-    __slots__ = ("vectors",)
+    __slots__ = ("_rows", "_n")
 
     def __init__(self, vectors):
-        vectors = tuple(tuple(_integer(x) for x in v) for v in vectors)
-        if vectors:
-            n = len(vectors[0])
-            if any(len(v) != n for v in vectors):
-                raise ValueError("basis vectors of unequal length")
-            rows = [{k: x for k, x in enumerate(v) if x} for v in vectors]
-            if len(_rref(rows, n)) != len(vectors):
-                raise ValueError("basis vectors are linearly dependent")
-        object.__setattr__(self, "vectors", vectors)
+        vectors = [list(map(_integer, v)) for v in vectors]
+        n = len(vectors[0]) if vectors else 0
+        if any(len(v) != n for v in vectors):
+            raise ValueError("basis vectors of unequal length")
+        rows = tuple({k: x for k, x in enumerate(v) if x} for v in vectors)
+        # _rref edits its rows in place, so it gets copies
+        if len(_rref(list(map(dict, rows)), n)) != len(rows):
+            raise ValueError("basis vectors are linearly dependent")
+        _set(self, "_rows", rows)
+        _set(self, "_n", n)
+
+    @classmethod
+    def _trusted(cls, n, rows):
+        """Wrap a tuple of independent sparse integer rows of length n, unchecked."""
+        basis = object.__new__(cls)
+        _set(basis, "_rows", rows)
+        _set(basis, "_n", n if rows else 0)
+        return basis
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceBasis is immutable")
 
+    @property
+    def vectors(self):
+        zeros = repeat(0)
+        return tuple(tuple(map(row.get, range(self._n), zeros)) for row in self._rows)
+
     def __len__(self):
-        return len(self.vectors)
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.vectors)
 
     def __eq__(self, other):
-        return isinstance(other, SubspaceBasis) and self.vectors == other.vectors
+        return (isinstance(other, SubspaceBasis)
+                and self._n == other._n and self._rows == other._rows)
 
     def __hash__(self):
-        return hash(self.vectors)
+        return hash((self._n, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self):
         return f"SubspaceBasis({[list(v) for v in self.vectors]})"
@@ -121,25 +140,23 @@ def _rref(rows, ncols):
     return pivots
 
 
-def _primitive(row, n):
-    """The length-n integer vector of a sparse RREF row, scaled to gcd 1.
+def _primitive(row):
+    """A sparse RREF row as a sparse integer row, scaled to gcd 1.
 
     The row leads with its pivot 1, so scaling by the lcm of the denominators
     gives a positive lead, and for each prime of that lcm the entry whose
     denominator holds its highest power is left prime to it: the gcd is 1.
     """
     denom = lcm(*(x.denominator for x in row.values()))
-    ints = [0] * n
-    for k, x in row.items():
-        ints[k] = x.numerator * (denom // x.denominator)
-    return tuple(ints)
+    return {k: x.numerator * (denom // x.denominator) for k, x in row.items()}
 
 
 def column_space_basis(m):
     """Primitive integer basis of the column space of a constant matrix.
 
     Deterministic: the basis is the reduced row echelon form of the
-    transposed matrix, each row scaled primitive.
+    transposed matrix, each row scaled primitive.  Its pivot rows are
+    independent, so the basis wraps them with no second elimination.
     """
     cols = [{} for _ in range(m.cols)]
     for r, row in enumerate(m._r):
@@ -151,19 +168,17 @@ def column_space_basis(m):
                 raise ValueError(f"non-real constant entry at ({r}, {c}): {x}")
             cols[c][r] = v.re
     rank = len(_rref(cols, m.rows))
-    return SubspaceBasis(_primitive(v, m.rows) for v in cols[:rank])
+    return SubspaceBasis._trusted(m.rows, tuple(map(_primitive, cols[:rank])))
 
 
-def _image_rows(h, vectors):
-    """Row r of ``H S`` for the matrix ``S`` with the given integer columns,
-    as a dict from (column, monomial) to the non-zero Gaussian-rational
-    coefficient of that monomial in entry (r, column)."""
-    n = h.rows
-    cover = [[] for _ in range(n)]
-    for c, v in enumerate(vectors):
-        for u, x in enumerate(v):
-            if x:
-                cover[u].append((c, x))
+def _image_rows(h, columns):
+    """Row r of ``H S`` for the matrix ``S`` with the given sparse integer
+    columns, as a dict from (column, monomial) to the non-zero
+    Gaussian-rational coefficient of that monomial in entry (r, column)."""
+    cover = [[] for _ in range(h.rows)]
+    for c, v in enumerate(columns):
+        for u, x in v.items():
+            cover[u].append((c, x))
     out = []
     for h_row in h._r:
         row = {}
@@ -178,10 +193,8 @@ def _image_rows(h, vectors):
 
 
 def _check_basis_length(basis, n):
-    if len(basis) and len(basis.vectors[0]) != n:
-        raise DimensionError(
-            f"basis vectors of length {len(basis.vectors[0])} do not match size {n}"
-        )
+    if len(basis) and basis._n != n:
+        raise DimensionError(f"basis vectors of length {basis._n} do not match size {n}")
 
 
 def is_invariant_subspace(h, basis):
@@ -198,11 +211,10 @@ def is_invariant_subspace(h, basis):
         raise DimensionError("need a square matrix")
     _check_basis_length(basis, h.rows)
     images = {}
-    for r, row in enumerate(_image_rows(h, basis.vectors)):
+    for r, row in enumerate(_image_rows(h, basis._rows)):
         for key, v in row.items():
             images.setdefault(key, {})[r] = v
-    rows = [{k: x for k, x in enumerate(v) if x} for v in basis]
-    rows += images.values()
+    rows = [*map(dict, basis._rows), *images.values()]
     return len(_rref(rows, h.rows)) == len(basis)
 
 
@@ -220,16 +232,15 @@ def block_form(h, basis1, basis2):
     if not h.is_square():
         raise DimensionError("need a square matrix")
     n = h.rows
-    vectors = list(basis1) + list(basis2)
-    if len(vectors) != n:
-        raise ValueError(f"{len(vectors)} basis vectors for dimension {n}: not a full basis")
+    columns = basis1._rows + basis2._rows
+    if len(columns) != n:
+        raise ValueError(f"{len(columns)} basis vectors for dimension {n}: not a full basis")
     for basis in (basis1, basis2):
         _check_basis_length(basis, n)
-    rows = _image_rows(h, vectors)
-    for c, v in enumerate(vectors):
-        for r, x in enumerate(v):
-            if x:
-                rows[r][c] = x
+    rows = _image_rows(h, columns)
+    for c, v in enumerate(columns):
+        for r, x in v.items():
+            rows[r][c] = x
     if _rref(rows, n) != list(range(n)):
         raise ValueError("basis vectors are linearly dependent: not a full basis")
 

@@ -28,7 +28,8 @@ class SymmetryGroup:
     proved their closure.
 
     ``elements[0]`` is the identity.  ``generators`` are the elements that
-    ``verify_closure``'s scan kept, in element order.  ``index_of`` and
+    ``verify_closure``'s scan kept, in element order, or those given to
+    ``generate_from``, without duplicates or the identity.  ``index_of`` and
     ``in`` read the one index of the group, a dict from the image tuple of
     each element to its position in ``elements``.
     """
@@ -163,8 +164,11 @@ def conjugacy_classes(group):
 def generate_from(generators):
     """Closure of the generators under composition, as a SymmetryGroup.
 
-    Breadth-first product saturation; the identity is always included and
-    elements are ordered lexicographically.
+    One breadth-first closure multiplies every reached element by every
+    generator once, so the set is closed under products and, being finite,
+    holds every inverse: it proves itself a group.  Elements are ordered
+    lexicographically; ``generators`` are the given ones without duplicates
+    or the identity, in the given order.
     """
     generators = list(generators)
     if not generators:
@@ -172,8 +176,8 @@ def generate_from(generators):
     n = len(generators[0])
     if any(len(p) != n for p in generators):
         raise GroupError("generators act on different index sets")
-    gens = [g.image for g in generators]
     ident = tuple(range(n))
+    gens = [g for g in dict.fromkeys(p.image for p in generators) if g != ident]
     seen = {ident}
     queue = [ident]
     for p in queue:
@@ -182,15 +186,14 @@ def generate_from(generators):
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
-    # finite closure under products of generators contains all inverses
-    return verify_closure(map(_trusted, sorted(seen)))
+    images = sorted(seen)
+    index = dict(zip(images, range(len(images))))
+    elements = list(map(_trusted, images))
+    return SymmetryGroup(elements, [elements[index[g]] for g in gens], index)
 
 
 def generating_set(group):
-    """A small (greedy, not necessarily minimal) generating subset.
-
-    These are the generators ``verify_closure`` kept: scanning elements in
-    order, each one not generated by the elements kept so far; the trivial
-    group yields an empty list.
-    """
+    """The group's stored generators, as ``SymmetryGroup`` describes them:
+    a small, not necessarily minimal, generating subset; the trivial group
+    yields an empty list."""
     return list(group.generators)

@@ -5,9 +5,10 @@ and the 2x2 star product.  All matrices are immutable.
 A matrix stores its non-zeros only, as one dict per row mapping a column to a
 non-zero PolyScalar; there is no other storage.  A row dict is never changed
 once a matrix holds it, so matrices may share rows, and the modules of this
-package read and build the dicts directly.  ``entries()`` and ``row(r)`` build
-a dense row-major tuple on each call, in which every zero is the shared
-``ZERO`` singleton.  ``@`` is a row-wise sparse product
+package read and build the dicts directly; the matrix-file reader of ``cli``
+fills them from its parsed tokens.  ``entries()`` and ``row(r)`` build a dense
+row-major tuple on each call, in which every zero is the shared ``ZERO``
+singleton.  ``@`` is a row-wise sparse product
 (Gustavson, ACM TOMS 1978): each non-zero ``a[r, t]``, in ascending ``t``,
 adds ``a[r, t] * b[t, c]`` over the non-zeros of row ``t`` of ``b`` into the
 row's accumulator.  Products with the ``ONE`` singleton return the other

@@ -78,6 +78,10 @@ from .perms import Perm, _trusted
 MODE_LEAF_CHECK = "leaf-check"
 MODE_PRUNED = "pruned"
 
+# The most image entries (symmetries times dimension) one listing may hold:
+# K9's 9! symmetries of dimension 9 and Q6's 46,080 of dimension 64 fit.
+_LIST_MAX = 1 << 22
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -445,28 +449,32 @@ def find_symmetries(h, cfg=None):
     ``exhausted=False`` rather than by silent truncation.  An unbudgeted
     ``pruned`` run builds a stabiliser chain; a budgeted one walks the tree in
     lexicographic order, so its partial result is a prefix of the full list.
-    ``h`` need not be hermitian; the CLI reports one that is not.
+    ``h`` need not be hermitian; the CLI reports one that is not.  A listing
+    of more than ``_LIST_MAX`` image entries raises ValueError: the chain
+    knows the count before it lists, and a tree walk stops one result past.
     """
     cfg = cfg or SearchConfig()
     if not h.is_square():
         raise ValueError("symmetry search needs a square matrix")
     collect = not cfg.count_only
+    most = _LIST_MAX // max(h.rows, 1)
+    limit = min(cfg.max_results or most + 1, most + 1) if collect else cfg.max_results
     if cfg.mode == MODE_LEAF_CHECK:
-        found, count, nodes, exhausted = _search_leaf(
-            h, cfg.max_results, cfg.node_budget, collect
-        )
+        found, count, nodes, exhausted = _search_leaf(h, limit, cfg.node_budget, collect)
     else:
         pairs = _color_table(h)
         plan = _plan(pairs)
         if cfg.node_budget is None and cfg.max_results is None:
             chain, nodes = _stabiliser_chain(h, pairs, plan)
             count = prod(map(len, chain))
-            found = _chain_elements(chain) if collect else []
+            found = _chain_elements(chain) if collect and count <= most else []
             exhausted = True
         else:
             found, count, nodes, exhausted = _search_pruned(
-                pairs, plan, (), plan.cells[0], cfg.max_results, cfg.node_budget, collect
+                pairs, plan, (), plan.cells[0], limit, cfg.node_budget, collect
             )
+    if collect and count > most:
+        raise ValueError(f"over {most} symmetries of dimension {h.rows}: too many to list")
 
     # every image is a permutation by construction, so none is re-validated
     perms = tuple(map(_trusted, sorted(found)))

@@ -58,3 +58,28 @@ def test_traced_group_request_fills_the_group_layer():
     assert metrics["groups.order"] == 16
     assert metrics["groups.closure_s"] > 0
     assert metrics["groups.classes_s"] > 0
+
+
+def test_traced_decompose_request_fills_the_decompose_layer():
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        flip = dict(workloads.chain_involutions(4))["spin flip"]
+        params = {"L": 4, "a": "a", "b": "b", "involution": list(flip.image)}
+        with tracer.span("api.request"):
+            code, report = workloads.api_decompose(
+                SimpleNamespace(params=params), tracer.chain_ops(workloads.CHAIN_OPS))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    _, basis1, basis2 = workloads.involution_blocks(flip.image)
+    assert report["decomposition"]["basis1"] == basis1
+    assert report["decomposition"]["basis2"] == basis2
+    metrics, _ = spans.pass_metrics(tracer.spans, None)
+    assert metrics["decompose.dim"] == 16
+    assert metrics["decompose.projectors_s"] > 0
+    assert metrics["decompose.basis_s"] > 0
+    assert metrics["decompose.block_form_s"] > 0
+    # both bases are spans of their own, and block_form is one more
+    names = [rec[0] for rec in tracer.spans]
+    assert names.count("decompose.basis") == 2 and names.count("decompose.block_form") == 1

@@ -10,7 +10,7 @@ import permsym.cli
 from permsym import ExactMatrix, Perm, SearchResult, build, find_symmetries, is_symmetry
 from permsym.cli import main, read_matrix_file, render_json
 from permsym.models import CATALOG
-from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, ZERO
+from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, ZERO, parse
 
 from helpers import ISING4_ROWS
 
@@ -262,6 +262,18 @@ class TestModels:
         assert len(report["models"]) == 6
 
 
+# zero-valued tokens, and equal values written as different tokens
+FILE_TOKENS = ["0", "a-a", "0*b", "0/7", "(a-a)*b", "1", "a", "1*a", "a+0", "-1/2", "b",
+               "2*b", "b+b", "i", "(a+b)", "b+a", "a^2", "a*a"]
+
+
+@st.composite
+def token_tables(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.sampled_from(FILE_TOKENS)
+    return [draw(st.lists(cell, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
 class TestMatrixFiles:
     def write(self, tmp_path, text):
         path = tmp_path / "matrix.txt"
@@ -383,6 +395,29 @@ class TestMatrixFiles:
         assert m[0, 0] is m[1, 1] and m[0, 1] is m[1, 0]
         assert m[0, 2] is ZERO and m[2, 1] is ZERO
         assert m == ExactMatrix.from_rows([["2*t", "1/2", "0"], ["1/2", "2*t", "0"], [0, 0, "-a"]])
+
+    def test_reader_builds_the_row_dicts_itself(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the reader went through ExactMatrix(...)")
+
+        monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+        m = read_matrix_file(self.write(tmp_path, "2 3\n0 a-a 1\nb 0*b 0\n"))
+        assert m.shape == (2, 3) and m._r == ({2: parse("1")}, {0: parse("b")})
+
+    @seed(17)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(table=token_tables(), seps=st.lists(st.sampled_from([" ", "  ", "\t", " \t "]), min_size=1))
+    def test_files_read_as_their_tokens(self, tmp_path_factory, table, seps):
+        lines = [f"{len(table)} {len(table[0])}"]
+        for k, row in enumerate(table):
+            lines.append(seps[k % len(seps)].join(row))
+        path = tmp_path_factory.mktemp("tokens") / "matrix.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        m = read_matrix_file(str(path))
+        assert m == ExactMatrix.from_rows(table)
+        entries = [x for row in m._r for x in row.values()]
+        assert all(entries)  # a zero-valued token leaves no key
+        assert len(set(map(id, entries))) == len(set(entries))  # one object per value
 
 
 # -- the JSON renderer against json.dumps(indent=2, sort_keys=True) ---------
@@ -658,3 +693,26 @@ class TestLargeGroups:
         assert (code, err) == (4, "")
         search = json.loads(out)["search"]
         assert (search["nodes_visited"], search["exhausted"]) == (1, False)
+
+    @pytest.mark.parametrize("argv, seconds", [
+        (["find", "--param", "a=0", "--param", "b=0"], 1.0),
+        (["group", "--param", "a=0", "--param", "b=0"], 1.0),
+        (["find", "--param", "b=0", "--format", "json"], 1.0),
+        (["find", "--param", "b=0", "--max-results", "99999999999"], 5.0),
+        (["group", "--param", "b=0", "--node-budget", "99999999999"], 5.0),
+    ])
+    def test_a_group_too_large_to_list_is_refused(self, capsys, argv, seconds):
+        # with a = b = 0, ising4 is the zero matrix and its group is S16; with
+        # b = 0 it is diagonal and its group has 2 * 12! * 2 elements: no
+        # listing of either fits in memory
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--model", "ising4")
+        assert time.perf_counter() - start < seconds
+        assert (code, out) == (3, "")
+        assert err == "error: over 262144 symmetries of dimension 16: too many to list\n"
+
+    def test_a_group_too_large_to_list_is_counted(self, capsys):
+        code, out, err = run_cli(capsys, "find", "--model", "ising4", "--param", "a=0",
+                                 "--param", "b=0", "--count-only")
+        assert (code, err) == (0, "")
+        assert "symmetry count: 20922789888000\n" in out

@@ -96,7 +96,9 @@ class TestColumnSpaceBasis:
         assert column_space_basis(pair.pi2) == SubspaceBasis([(1, 0, 0, -1), (0, 1, -1, 0)])
 
     def test_zero_matrix(self):
-        assert len(column_space_basis(ExactMatrix.zeros(3))) == 0
+        basis = column_space_basis(ExactMatrix.zeros(3))
+        assert len(basis) == 0 and basis.vectors == ()
+        assert basis == SubspaceBasis([]) and hash(basis) == hash(SubspaceBasis([]))
 
     def test_parametric_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -107,8 +109,38 @@ class TestColumnSpaceBasis:
         assert column_space_basis(m) == SubspaceBasis([(1, 2)])
 
     def test_dependent_input_vectors_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^basis vectors are linearly dependent$"):
             SubspaceBasis([(1, 0), (2, 0)])
+        with pytest.raises(ValueError, match="^basis vectors are linearly dependent$"):
+            SubspaceBasis([(0, 0, 0)])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^basis vectors of unequal length$"):
+            SubspaceBasis([(1, 0), (0, 1, 0)])
+        # every entry is checked before the lengths
+        with pytest.raises(ValueError, match="^basis entry 0.5 is not an integer$"):
+            SubspaceBasis([(1, 0), (0, 1, 0), (0.5,)])
+
+    def test_vectors_are_stored_as_sparse_rows(self):
+        basis = SubspaceBasis(iter([iter((0, 3, 0)), [True, 0, -2]]))
+        assert basis._rows == ({1: 3}, {0: 1, 2: -2}) and basis._n == 3
+        assert all(type(x) is int for row in basis._rows for x in row.values())
+        assert basis.vectors == ((0, 3, 0), (1, 0, -2)) == tuple(basis)
+        assert repr(basis) == "SubspaceBasis([[0, 3, 0], [1, 0, -2]])"
+        assert basis != SubspaceBasis([(0, 3, 0, 0), (1, 0, -2, 0)])
+        assert basis != SubspaceBasis([(0, 3, 0)]) and basis != basis.vectors
+        assert {basis: 1}[SubspaceBasis([(0, 3, 0), (1, 0, -2)])] == 1
+
+    def test_checks_leave_the_stored_rows_alone(self, hubbard):
+        # _rref reduces its rows in place, so every caller must hand it
+        # copies: the first row of each basis reduces the second
+        b1 = SubspaceBasis([(1, 0, 0, 1), (1, 1, 1, 1)])
+        b2 = SubspaceBasis([(1, 0, 0, -1), (1, 1, -1, -1)])
+        stored = ({0: 1, 3: 1}, {0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 3: -1}, {0: 1, 1: 1, 2: -1, 3: -1})
+        assert b1._rows + b2._rows == stored
+        assert is_invariant_subspace(hubbard, b1) and is_invariant_subspace(hubbard, b2)
+        assert block_form(hubbard, b1, b2) == reference_similarity(hubbard, list(b1) + list(b2))
+        assert b1._rows + b2._rows == stored
 
     def test_basis_entries_must_be_integers(self):
         # int() would read these as (0, 1), (0, 1, 0, 0), (1, 0) and (1, 0)
@@ -435,7 +467,11 @@ class TestIndependentOracles:
                 if next(x for x in ints if x) < 0:
                     g = -g
                 expected.append(tuple(x // g for x in ints))
-            assert column_space_basis(m) == SubspaceBasis(expected)
+            basis = column_space_basis(m)
+            assert basis == SubspaceBasis(expected)
+            assert SubspaceBasis(basis.vectors) == basis
+            assert hash(SubspaceBasis(basis.vectors)) == hash(basis)
+            assert all(all(row.values()) for row in basis._rows)
             deficient += rank < min(rows, cols)
             zero_columns += any(not any(col) for col in columns)
             negative_lead += any(next((x for x in col if x), 0) < 0 for col in columns)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from permsym import groups
 from permsym import (
     GroupError,
     Perm,
@@ -185,6 +186,40 @@ class TestGenerateFrom:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(GroupError, match="different index sets"):
             generate_from([Perm([1, 0]), Perm([1, 2, 0])])
+
+    def test_one_closure_builds_the_group(self, monkeypatch):
+        c4 = induced_site_perm(Perm([1, 2, 3, 0]))
+        sv = induced_site_perm(Perm([1, 0, 3, 2]))
+        ident = Perm.identity(len(c4))
+        checked = verify_closure(generate_from([c4, sv]).elements)
+
+        def refuse(elements):
+            raise AssertionError("the closure was checked a second time")
+
+        # the breadth-first closure is the proof: no verify_closure pass after it
+        monkeypatch.setattr(groups, "verify_closure", refuse)
+        g = generate_from([sv, ident, c4, sv, c4 * c4])
+        assert g.elements == checked.elements and g.elements[0] == ident
+        assert list(g.elements) == sorted(g.elements)
+        assert [g.index_of(p) for p in g.elements] == list(range(8))
+        assert g.generators == (sv, c4, c4 * c4)
+        assert generating_set(g) == [sv, c4, c4 * c4]
+        assert conjugacy_classes(g) == conjugacy_classes(checked)
+        assert generate_from([ident, ident]).generators == ()
+
+    @seed(7)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda d: st.lists(st.permutations(range(d)).map(Perm), min_size=1, max_size=4)))
+    def test_generators_are_the_given_ones(self, gens):
+        g = generate_from(gens)
+        ident = Perm.identity(len(gens[0]))
+        assert list(g.generators) == [p for p in dict.fromkeys(gens) if p != ident]
+        assert set(g.elements) == closure_bruteforce(gens)
+        checked = verify_closure(g.elements)
+        assert g.elements == checked.elements
+        assert conjugacy_classes(g) == conjugacy_classes(checked)
+        assert is_commutative(g) == is_commutative(checked)
 
 
 class TestGeneratingSet:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -294,6 +295,33 @@ class TestBudgets:
             SearchConfig(max_results=0)
         with pytest.raises(ValueError):
             SearchConfig(node_budget=-1)
+
+
+class TestListingBound:
+    """A listing holds at most _LIST_MAX image entries, whichever path lists."""
+
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(),
+        SearchConfig(max_results=10**9),
+        SearchConfig(node_budget=10**9),
+        SearchConfig(mode=MODE_LEAF_CHECK),
+    ], ids=["chain", "max-results", "node-budget", "leaf"])
+    def test_a_listing_stops_at_the_bound(self, monkeypatch, cfg):
+        h = ExactMatrix.zeros(4)  # all 24 permutations are symmetries
+        monkeypatch.setattr(permsym.search, "_LIST_MAX", 24 * 4)
+        assert len(find_symmetries(h, cfg).perms) == 24
+        monkeypatch.setattr(permsym.search, "_LIST_MAX", 24 * 4 - 1)
+        with pytest.raises(ValueError, match="^over 23 symmetries of dimension 4: too many to list$"):
+            find_symmetries(h, cfg)
+        assert find_symmetries(h, replace(cfg, count_only=True)).count == 24
+        partial = find_symmetries(h, replace(cfg, max_results=23))
+        assert (len(partial.perms), partial.exhausted) == (23, False)
+
+    def test_a_zero_matrix_of_dimension_16_is_counted_not_listed(self):
+        h = ExactMatrix.zeros(16)
+        assert find_symmetries(h, SearchConfig(count_only=True)).count == 20922789888000
+        with pytest.raises(ValueError, match="^over 262144 symmetries of dimension 16"):
+            find_symmetries(h)
 
 
 class TestCountOnly:
