@@ -159,13 +159,9 @@ def _search_config(args):
 
 
 def _perm_records(perms):
-    """One report record per permutation; every permutation has one length."""
-    labels = [str(u) for u in range(len(perms[0]))] if perms else []
-    records = []
-    for p in perms:
-        cycles, order = cycle_summary(p.image, labels)
-        records.append({"image": list(p.image), "cycles": cycles, "order": order})
-    return records
+    """One report record per permutation, holding its image tuple."""
+    summaries = map(cycle_summary, (p.image for p in perms))
+    return [{"image": p.image, "cycles": c, "order": o} for p, (c, o) in zip(perms, summaries)]
 
 
 def _run_search(matrix, args):
@@ -220,6 +216,8 @@ def _run_search(matrix, args):
 #   ``%``-template, built once, fills in every record.
 # - A column of strs or of ints maps over it the C function that the C
 #   encoder applies to each; any other scalar goes through the encoder.
+# - A column of int lists averaging over 4 items, with under a quarter as many
+#   distinct values as items (images), joins one ``int.__repr__`` text per value.
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _SCALAR_ENCODERS = {str: encode_basestring_ascii, int: int.__repr__}
@@ -246,10 +244,17 @@ def _column(values, depth):
     if types <= _SCALAR_TYPES:
         encode = _SCALAR_ENCODERS.get(types.pop()) if len(types) == 1 else None
         return list(map(encode or _scalar, values))
-    if types <= {list, tuple} and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(values))):
+    flat = chain.from_iterable
+    if types <= {list, tuple} and (kinds := set(map(type, flat(values)))) <= _SCALAR_TYPES:
         nl, _ = _level(depth)
         inner, encode = _level(depth + 1)
-        items = encode(values)[2:-2].split("]," + inner + "[")
+        size = sum(map(len, values))
+        distinct = set(flat(values)) if kinds == {int} and size > 4 * len(values) else ()
+        if 0 < 4 * len(distinct) < size:
+            rendered = dict(zip(distinct, map(int.__repr__, distinct))).__getitem__
+            items = [("," + inner).join(map(rendered, v)) for v in values]
+        else:
+            items = encode(values)[2:-2].split("]," + inner + "[")
         return ["[" + inner + text + nl + "]" if text else "[]" for text in items]
     if types == {dict} and values[0]:
         shape = values[0].keys()
@@ -347,10 +352,12 @@ def cmd_find(args):
         "search": search_info,
         "timing": {"wall_s": wall, "load_s": load, "verify_s": verify},
     }
+    start = time.perf_counter()
     if not args.count_only:
         report["symmetries"] = _perm_records(result.perms)
         if result.exhausted and result.count == 1:
             report["note"] = "only the identity permutation is a symmetry"
+    report["timing"]["records_s"] = time.perf_counter() - start
     _emit(report, args, _find_text)
     stopped = not result.exhausted and cfg.node_budget is not None
     return EXIT_BUDGET if stopped and result.nodes_visited >= cfg.node_budget else EXIT_OK
@@ -390,7 +397,9 @@ def cmd_group(args):
     gens = groups.generating_set(group)
     # each element's cycles are walked once, for its record; the element
     # orders and the involution count are read off the records
+    start = time.perf_counter()
     records = _perm_records(group.elements)
+    records_s = time.perf_counter() - start
     report = {
         "command": "group",
         "input": info,
@@ -402,9 +411,9 @@ def cmd_group(args):
             "element_orders": [[k, rec["order"]] for k, rec in enumerate(records)],
             "involution_count": sum(rec["order"] == 2 for rec in records),
             "conjugacy_classes": [list(c) for c in groups.conjugacy_classes(group)],
-            "generators": [list(p.image) for p in gens],
+            "generators": [p.image for p in gens],
         },
-        "timing": {"wall_s": wall, "load_s": load, "verify_s": verify},
+        "timing": {"wall_s": wall, "load_s": load, "verify_s": verify, "records_s": records_s},
     }
     _emit(report, args, _group_text)
     return EXIT_OK
@@ -443,10 +452,12 @@ def cmd_decompose(args):
     basis2 = column_space_basis(pair.pi2)
     blocks = block_form(matrix, basis1, basis2)
     wall = time.perf_counter() - start
-    k = len(basis1)
-    n = matrix.rows
-    block1 = [[str(blocks[r, c]) for c in range(k)] for r in range(k)]
-    block2 = [[str(blocks[k + r, k + c]) for c in range(n - k)] for r in range(n - k)]
+    k, n = len(basis1), matrix.rows
+    # block diagonal: row r < k has its non-zeros in columns < k; one shared "0"
+    texts = [["0"] * (k if r < k else n - k) for r in range(n)]
+    for r, row in enumerate(blocks._r):
+        for c, x in row.items():
+            texts[r][c if r < k else c - k] = str(x)
     report = {
         "command": "decompose",
         "input": info,
@@ -454,8 +465,8 @@ def cmd_decompose(args):
             "involution": list(perm.image),
             "basis1": [list(v) for v in basis1],
             "basis2": [list(v) for v in basis2],
-            "block1": block1,
-            "block2": block2,
+            "block1": texts[:k],
+            "block2": texts[k:],
             "note": _NORMALIZATION_NOTE,
         },
         "timing": {"wall_s": wall, "load_s": load},

@@ -8,6 +8,7 @@ homomorphism: ``(p * q).to_matrix() == p.to_matrix() @ q.to_matrix()``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from operator import index
 
@@ -70,7 +71,7 @@ class Perm:
 
     def order(self):
         """Least m >= 1 with p^m = identity (lcm of cycle lengths)."""
-        return lcm(*map(len, self.cycles()))
+        return cycle_summary(self.image)[1]
 
     def cycles(self):
         """All cycles, fixed points included, each starting at its least element."""
@@ -141,17 +142,20 @@ def _index(field):
     return value
 
 
-def cycle_summary(image, labels=None):
+@lru_cache(maxsize=8)
+def _labels(n):
+    """``str(u)`` for each index ``u < n``: one table per length, shared by calls."""
+    return tuple(map(str, range(n)))
+
+
+def cycle_summary(image):
     """The cycle string ``(0 3)(1 2)`` and the order of the permutation with
     this image, from one walk over it.
 
     Cycles are listed as ``Perm.cycles`` lists them, fixed points included.
-    ``labels[u]`` is ``str(u)``; a caller that summarises many permutations
-    of one length builds that table once and passes it in.
     """
     n = len(image)
-    if labels is None:
-        labels = [str(u) for u in range(n)]
+    labels = _labels(n)
     seen = bytearray(n)
     parts = []
     lengths = set()

@@ -71,6 +71,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 from typing import Optional
 
 from .perms import Perm, _trusted
@@ -144,19 +145,27 @@ VERIFY_BLOCK = 4096
 def first_non_symmetry(h, perms):
     """The first of ``perms``, in order, that ``is_symmetry`` rejects, or None.
 
-    The same predicate with the loops swapped: for each non-zero ``(v, x)`` of
-    row ``u``, one pass over a block of elements reads entry ``p(v)`` of row
+    The same predicate with the loops swapped: for each checked entry ``(v, x)``
+    of row ``u``, one pass over a block of elements reads entry ``p(v)`` of row
     ``p(u)`` for each ``p`` and counts those that equal ``x`` (``list.count``
-    tests ``is`` first, then ``==``; a missing entry is None, which equals no
-    non-zero).  As in ``is_symmetry``, no zero needs a check.  A block that
-    fails, or that ``is_symmetry`` would refuse (a non-square ``h``, a length
-    other than n), is walked again with ``is_symmetry``, which names its first
+    tests ``is`` first, then ``==``; a missing entry is None).  Diagonal rule:
+    of the classes of indices by diagonal entry, zero included, all but a
+    largest one are checked; p sends each into, hence onto, itself, and so,
+    being a bijection, the largest too.  Triangle rule, if H is hermitian
+    (``h.is_hermitian()`` runs once per call): off the diagonal only the
+    non-zeros with u < v are checked, as H[p(u), p(v)] = conj(H[p(v), p(u)])
+    = conj(H[v, u]) = H[u, v].  Then p maps the off-diagonal non-zeros into,
+    hence onto, themselves, so no zero needs a check.  A block that fails, or
+    that ``is_symmetry`` would refuse (a non-square ``h``, a length other
+    than n), is walked again with ``is_symmetry``, which names its first
     rejected element or raises its ``ValueError``.
     """
     n = h.rows
+    square = h.is_square()
+    hermitian = square and bool(perms) and h.is_hermitian()
     for start in range(0, len(perms), VERIFY_BLOCK):
         block = perms[start:start + VERIFY_BLOCK]
-        if h.is_square() and set(map(len, block)) == {n} and _all_symmetries(h._r, block):
+        if square and set(map(len, block)) == {n} and _all_symmetries(h._r, block, hermitian):
             continue
         for p in block:
             if not is_symmetry(h, p):
@@ -164,17 +173,28 @@ def first_non_symmetry(h, perms):
     return None
 
 
-def _all_symmetries(rows, block):
-    """True iff every element of ``block`` sends each non-zero of the rows
-    ``rows`` to an equal entry: one pass over the block per non-zero."""
+def _all_symmetries(rows, block, hermitian=False):
+    """True iff every element of ``block`` sends each entry of the rows
+    ``rows`` to an equal entry, checked under ``first_non_symmetry``'s
+    diagonal rule and, if ``hermitian``, its triangle rule."""
     m = len(block)
     cols = list(zip(*[p.image for p in block]))
-    for u, row in enumerate(rows):
-        # row p(u) of every element p, gathered once per row u
-        targets = list(map(rows.__getitem__, cols[u]))
-        for v, x in row.items():
-            if list(map(dict.get, targets, cols[v])).count(x) != m:
+    diag = [row.get(u) for u, row in enumerate(rows)]
+    classes = {}
+    for u, x in enumerate(diag):
+        classes.setdefault(x, []).append(u)
+    for members in sorted(classes.values(), key=len)[:-1]:
+        for u in members:
+            if list(map(diag.__getitem__, cols[u])).count(diag[u]) != m:
                 return False
+    for u, row in enumerate(rows):
+        checks = [(v, x) for v, x in row.items() if v > u or v < u and not hermitian]
+        if checks:
+            # row p(u) of every element p, gathered once per row u
+            targets = list(map(rows.__getitem__, cols[u]))
+            for v, x in checks:
+                if list(map(dict.get, targets, cols[v])).count(x) != m:
+                    return False
     return True
 
 
@@ -388,11 +408,13 @@ def _stabiliser_chain(h, pairs, plan):
 
 def _chain_elements(chain):
     """Every product of one representative per level of ``chain``, as image
-    tuples: each element of the group exactly once."""
+    tuples: each element of the group exactly once.  ``itemgetter(*g)`` reads
+    ``u`` at ``g``: a tuple, as a level of two points or more has n >= 2."""
     found = [tuple(range(len(chain)))]
     for reps in reversed(chain):
         if len(reps) > 1:
-            found = [tuple(map(u.__getitem__, g)) for u in reps.values() for g in found]
+            getters = [itemgetter(*g) for g in found]
+            found = [get(u) for u in reps.values() for get in getters]
     return found
 
 

@@ -459,7 +459,7 @@ input_info = st.one_of(
     st.fixed_dictionaries({"kind": texts, "path": texts, "dimension": ints}),
 )
 timing = st.fixed_dictionaries({"wall_s": scalars, "load_s": scalars},
-                               optional={"verify_s": scalars})
+                               optional={"verify_s": scalars, "records_s": scalars})
 report_shapes = {
     "find": st.fixed_dictionaries(
         {"command": texts, "input": input_info, "search": search_info, "timing": timing},
@@ -489,6 +489,26 @@ report_shapes = {
         })),
     }),
 }
+BIG_INTS = [2**63, -(2**63) - 1, 2**64 + 7, -(10**30)]
+
+
+@st.composite
+def int_columns(draw):
+    """A column of int lists or tuples, bare, as one key of records or in a
+    dict.  Its values repeat (a pool of up to 3: negatives, ints above 2**63,
+    now and then a bool) or are all distinct, and some lists are empty."""
+    pool = draw(lists(st.one_of(ints, st.sampled_from(BIG_INTS), st.booleans()), 3).filter(len))
+    repeated = st.lists(st.sampled_from(pool), min_size=5, max_size=12)
+    distinct = st.lists(st.integers(), unique=True, max_size=12)
+    column = draw(st.lists(st.one_of(repeated, repeated, distinct, st.just([])),
+                           min_size=1, max_size=8))
+    if draw(st.booleans()):
+        column = [tuple(v) for v in column]
+    return draw(st.sampled_from([
+        column, [{"image": v, "order": 2} for v in column], {"a": column, "b": column[0]},
+    ]))
+
+
 any_json = st.recursive(
     scalars,
     lambda inner: st.one_of(lists(inner), st.tuples(inner, inner), st.dictionaries(texts, inner, max_size=4)),
@@ -513,6 +533,20 @@ class TestRenderJson:
     @given(any_json)
     def test_any_value_matches_the_stdlib(self, value):
         assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @seed(6174)
+    @RENDER_SETTINGS
+    @given(int_columns())
+    def test_int_list_columns_match_the_stdlib(self, value):
+        assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_a_cube_find_report_matches_the_stdlib(self, capsys, tmp_path):
+        path = graph_file(tmp_path, "q3", *cube(3))
+        code, out, err = run_cli(capsys, "find", "--input", path, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert len(report["symmetries"]) == 48
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
     def test_empty_containers(self):
         for value in ({}, [], (), [{}], [[]], {"a": {}}, [{}, {"a": []}], [[], [1], []],
@@ -548,7 +582,7 @@ def test_timing_reports_the_load(capsys, tmp_path, argv):
     if argv[0] == "decompose":
         assert sorted(timing) == ["load_s", "wall_s"]
     else:
-        assert sorted(timing) == ["load_s", "verify_s", "wall_s"]
+        assert sorted(timing) == ["load_s", "records_s", "verify_s", "wall_s"]
     assert all(seconds >= 0 for seconds in timing.values())
 
 

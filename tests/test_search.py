@@ -24,6 +24,7 @@ from permsym.search import (
     MODE_PRUNED,
     VERIFY_BLOCK,
     _all_symmetries,
+    _chain_elements,
     _color_table,
     _plan,
     _refine,
@@ -578,6 +579,16 @@ def sift(chain, image):
     return True
 
 
+def product_list(chain):
+    """The chain's elements as a product list: one representative per level,
+    composed by indexing, in the order ``_chain_elements`` lists them."""
+    found = [tuple(range(len(chain)))]
+    for reps in reversed(chain):
+        if len(reps) > 1:
+            found = [tuple(u[x] for x in g) for u in reps.values() for g in found]
+    return found
+
+
 class TestStabiliserChain:
     @seed(3141)
     @PROPERTY_SETTINGS
@@ -605,6 +616,26 @@ class TestStabiliserChain:
         chain, _ = _stabiliser_chain(h, colors, _plan(colors))
         for image in itertools.permutations(range(h.rows)):
             assert sift(chain, image) == (image in group)
+
+    @seed(1618)
+    @PROPERTY_SETTINGS
+    @given(st.one_of(color_matrices(), sparse_color_matrices(max_n=8)))
+    def test_elements_are_the_product_list_in_order(self, h):
+        colors = _color_table(h)
+        chain, _ = _stabiliser_chain(h, colors, _plan(colors))
+        assert _chain_elements(chain) == product_list(chain)
+
+    @pytest.mark.parametrize("rows", [[[1]], [[0]], [[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                                      [[1, 0], [0, 2]]])
+    def test_elements_in_dimensions_1_and_2(self, rows):
+        h = ExactMatrix.from_rows(rows)
+        colors = _color_table(h)
+        chain, _ = _stabiliser_chain(h, colors, _plan(colors))
+        elements = _chain_elements(chain)
+        assert elements == product_list(chain)
+        assert all(type(g) is tuple and len(g) == h.rows for g in elements)
+        assert [Perm(g) for g in sorted(elements)] == list(find_symmetries(h, SearchConfig(
+            mode=MODE_LEAF_CHECK)).perms)
 
     def test_generators_are_checked_against_h(self, monkeypatch):
         monkeypatch.setattr(permsym.search, "is_symmetry", lambda h, p: False)
@@ -646,6 +677,50 @@ def listings(draw):
     return h, perms
 
 
+GAUSSIAN_POOL = ["0", "1", "2", "i", "1+i", "2-i", "-1/2*i"]
+REAL_POOL = ["0", "1", "3", "a"]
+
+
+@st.composite
+def hermitian_listings(draw):
+    """(H, perms) for a hermitian H with complex entries, constant on the
+    orbits of index pairs under a random ``g``, or for the same H with one
+    conjugate pair broken.  Its diagonal is constant or drawn per orbit, zero
+    included.  perms mixes the symmetries of H and of the unbroken H, which
+    on a broken H fail at the broken pair only, with random permutations."""
+    n = draw(st.integers(1, 7))
+    g = draw(st.permutations(range(n))) if draw(st.booleans()) else list(range(n))
+    entries = {}
+    for u in range(n):
+        for v in range(u, n):
+            if (u, v) in entries:
+                continue
+            orbit = [(u, v)]
+            while (g[orbit[-1][0]], g[orbit[-1][1]]) != (u, v):
+                orbit.append((g[orbit[-1][0]], g[orbit[-1][1]]))
+            # an orbit that holds a pair and its transpose takes a real entry
+            real = any((y, x) in orbit for x, y in orbit)
+            x = parse(draw(st.sampled_from(REAL_POOL if real else GAUSSIAN_POOL)))
+            for a, b in orbit:
+                entries[a, b], entries[b, a] = x, x.conjugate()
+    if draw(st.booleans()):
+        d = parse(draw(st.sampled_from(REAL_POOL)))
+        entries.update({(u, u): d for u in range(n)})
+    h = ExactMatrix.from_rows([[entries[u, v] for v in range(n)] for u in range(n)])
+    assert h.is_hermitian()
+    pool = list(find_symmetries(h, SearchConfig(max_results=40)).perms)
+    if n > 1 and draw(st.booleans()):
+        u, v = draw(st.permutations(range(n)))[:2]
+        entries[v, u] = entries[u, v].conjugate() + 1
+        h = ExactMatrix.from_rows([[entries[u, v] for v in range(n)] for u in range(n)])
+        assert not h.is_hermitian()
+        pool += find_symmetries(h, SearchConfig(max_results=40)).perms
+    perms = draw(st.lists(st.sampled_from(pool), max_size=12))
+    for image in draw(st.lists(st.permutations(range(n)), max_size=3)):
+        perms.insert(draw(st.integers(0, len(perms))), Perm(image))
+    return h, perms
+
+
 class TestFirstNonSymmetry:
     @seed(3141)
     @settings(max_examples=200, deadline=None, database=None)
@@ -654,9 +729,46 @@ class TestFirstNonSymmetry:
         h, perms = case
         with mock.patch.object(permsym.search, "VERIFY_BLOCK", block):
             assert first_non_symmetry(h, perms) is oracle_first_non_symmetry(h, perms)
-        # the kernel itself, whose false rejections the walk with is_symmetry would hide
+        # the kernel itself, whose false rejections the walk with is_symmetry would
+        # hide, with the triangle rule where H is hermitian and without it
         if perms:
-            assert _all_symmetries(h._r, perms) == all(is_symmetry(h, p) for p in perms)
+            expected = all(is_symmetry(h, p) for p in perms)
+            assert _all_symmetries(h._r, perms) == expected
+            assert _all_symmetries(h._r, perms, h.is_hermitian()) == expected
+
+    @seed(1729)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(hermitian_listings(), st.sampled_from([1, 3, VERIFY_BLOCK]))
+    def test_hermitian_and_broken_inputs(self, case, block):
+        h, perms = case
+        with mock.patch.object(permsym.search, "VERIFY_BLOCK", block):
+            assert first_non_symmetry(h, perms) is oracle_first_non_symmetry(h, perms)
+        if perms:
+            expected = all(is_symmetry(h, p) for p in perms)
+            assert _all_symmetries(h._r, perms) == expected
+            assert _all_symmetries(h._r, perms, h.is_hermitian()) == expected
+
+    def test_only_a_lower_triangle_entry_fails(self):
+        # (0 1)(2 3) keeps every non-zero with u < v, but sends H[2, 0] = 1
+        # onto H[3, 1] = 2: H is not hermitian, so the lower triangle is checked
+        h = ExactMatrix.from_rows([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 2, 0, 0]])
+        p = Perm([1, 0, 3, 2])
+        assert not h.is_hermitian() and not is_symmetry(h, p)
+        assert _all_symmetries(h._r, [p], hermitian=True)  # the rule would miss it
+        assert not _all_symmetries(h._r, [p])
+        assert first_non_symmetry(h, [Perm.identity(4), p]) is p
+
+    @pytest.mark.parametrize("diagonal", [[5, 5, 0], [5, 0], [0, 5], [5, 5, 7, 0, 0, 0]])
+    def test_only_the_diagonal_fails(self, diagonal):
+        # no non-zero off the diagonal: each swap of two unequal entries fails,
+        # whichever class is the largest, the zero one included
+        n = len(diagonal)
+        h = ExactMatrix.from_rows([[diagonal[u] if u == v else 0 for v in range(n)]
+                                   for u in range(n)])
+        for u, v in itertools.combinations(range(n), 2):
+            swap = Perm([v if w == u else u if w == v else w for w in range(n)])
+            assert _all_symmetries(h._r, [swap], True) == (diagonal[u] == diagonal[v])
+            assert first_non_symmetry(h, [swap]) is oracle_first_non_symmetry(h, [swap])
 
     def test_distinct_equal_entries_are_compared_by_value(self):
         rows = [[parse(x) for x in row] for row in (["a+b", "t"], ["t", "b+a"])]
