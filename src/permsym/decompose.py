@@ -10,6 +10,8 @@ Every question here is answered by one exact Gauss-Jordan elimination over
 sparse rows (``_rref``): the rank of a basis, the column space of a
 projector, whether a span is invariant, and the block form, which solves
 ``S X = H S`` for the matrix ``S`` whose columns are the basis vectors.
+Its work follows the fill, not the row count.  ``S`` is real, so a
+Gaussian-rational entry goes in as its real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import lcm
 from operator import index
 
 from .matrices import DimensionError, ExactMatrix, _set
-from .scalars import PolyScalar, as_scalar, rational
+from .scalars import GaussRational, PolyScalar, as_scalar, rational
 
 
 @dataclass(frozen=True)
@@ -106,37 +108,58 @@ def projectors_from_involution(p):
 def _rref(rows, ncols):
     """Reduced row echelon form in place; returns the list of pivot columns.
 
-    A row is a dict from a key to a non-zero int, Fraction or GaussRational.
+    A row is a dict from a key to a non-zero int or Fraction.
     Pivots are taken from the keys 0..ncols-1 in order; any other key is a
     right-hand side that rides along.  The pivot rows end up first, each
     scaled so that its pivot is 1; the list and its dicts change in place.
+    The pivot of column c is the first row from position len(pivots) on that
+    holds c, and swaps there.  An index from each pivot column to the rows
+    that hold it, kept under fill and cancellation, finds it and the rows to
+    eliminate, so the work follows the fill (Davis 2006, ch. 2-3).
     """
+    at = list(range(len(rows)))  # at[position] indexes rows; pos inverts it
+    pos = at[:]
+    holders = {c: set() for c in range(ncols)}
+    for k, row in enumerate(rows):
+        for t in row:
+            if (held := holders.get(t)) is not None:
+                held.add(k)
     pivots = []
-    for c in range(ncols):
+    for c, held in holders.items():
         r = len(pivots)
         if r == len(rows):
             break
-        k = next((k for k in range(r, len(rows)) if c in rows[k]), None)
+        k = min((k for k in held if pos[k] >= r), key=pos.__getitem__, default=None)
         if k is None:
             continue
-        rows[r], rows[k] = rows[k], rows[r]
-        pivot = rows[r]
+        p, m = pos[k], at[r]
+        at[p], at[r] = m, k
+        pos[m], pos[k] = p, r
+        pivot = rows[k]
         if pivot[c] != 1:
             inv = Fraction(1) / pivot[c]
-            pivot = rows[r] = {t: y * inv for t, y in pivot.items()}
-        for row in rows:
-            f = row.get(c)
-            if f is None or row is pivot:
+            for t, y in pivot.items():
+                pivot[t] = y * inv
+        for e in list(held):
+            if e == k:
                 continue
+            row = rows[e]
+            f = row[c]
             for t, y in pivot.items():
                 fy = y if f == 1 else f * y
                 v = row.get(t)
-                v = -fy if v is None else v - fy
-                if v:
+                if v is None:
+                    row[t] = -fy
+                    if (fill := holders.get(t)) is not None:
+                        fill.add(e)
+                elif v := v - fy:
                     row[t] = v
                 else:
                     del row[t]
+                    if (fill := holders.get(t)) is not None:
+                        fill.discard(e)
         pivots.append(c)
+    rows[:] = [rows[k] for k in at]
     return pivots
 
 
@@ -173,8 +196,10 @@ def column_space_basis(m):
 
 def _image_rows(h, columns):
     """Row r of ``H S`` for the matrix ``S`` with the given sparse integer
-    columns, as a dict from (column, monomial) to the non-zero
-    Gaussian-rational coefficient of that monomial in entry (r, column)."""
+    columns, as a dict from (column, monomial factors, part) to the non-zero
+    int or Fraction real (part 0) or imaginary (part 1) part of the
+    coefficient of that monomial in entry (r, column).  ``S`` is real, so
+    an elimination by its rows never mixes the two parts."""
     cover = [[] for _ in range(h.rows)]
     for c, v in enumerate(columns):
         for u, x in v.items():
@@ -184,10 +209,11 @@ def _image_rows(h, columns):
         row = {}
         for u, y in h_row.items():
             for mono, coeff in y.terms():
-                for c, x in cover[u]:
-                    xy = coeff if x == 1 else coeff * x
-                    prev = row.get((c, mono))
-                    row[c, mono] = xy if prev is None else prev + xy
+                for part, q in enumerate((coeff.re, coeff.im)):
+                    if q:
+                        for c, x in cover[u]:
+                            key = (c, mono.factors, part)
+                            row[key] = row.get(key, 0) + (q if x == 1 else q * x)
         out.append({key: v for key, v in row.items() if v})
     return out
 
@@ -205,7 +231,7 @@ def is_invariant_subspace(h, basis):
     monomial in every image lies in it: one elimination over the basis rows
     and those vectors finds no rank beyond the basis.  The basis is real, so
     a Gaussian-rational vector lies in its span exactly when its real and
-    imaginary parts do.
+    imaginary parts do, and each part is checked as its own vector.
     """
     if not h.is_square():
         raise DimensionError("need a square matrix")
@@ -223,11 +249,12 @@ def block_form(h, basis1, basis2):
 
     Solves ``S X = H S`` for the matrix ``S`` whose columns are the basis
     vectors, by one elimination of the rows of ``[S | H S]``; the right half
-    is keyed by (column, monomial), so each entry of ``X`` comes out as its
-    Gaussian-rational monomial coefficients.  Since ``S`` is invertible, ``X``
-    is block diagonal exactly when both spans are H-invariant, so a non-zero
-    off-block entry is the invariance test.  Raises ValueError if the vectors
-    do not form a full basis or the two subspaces are not H-invariant.
+    is keyed by (column, monomial, part), so each entry of ``X`` comes out
+    as the real and imaginary parts of its monomial coefficients.  Since
+    ``S`` is invertible, ``X`` is block diagonal exactly when both spans are
+    H-invariant, so a non-zero off-block entry is the invariance test.  Raises
+    ValueError if the vectors do not form a full basis or the two subspaces
+    are not H-invariant.
     """
     if not h.is_square():
         raise DimensionError("need a square matrix")
@@ -245,16 +272,21 @@ def block_form(h, basis1, basis2):
         raise ValueError("basis vectors are linearly dependent: not a full basis")
 
     k = len(basis1)
+    # per call: each monomial by its factors, and each entry by its parts
+    monos = {m.factors: m for row in h._r for y in row.values() for m, _ in y.terms()}
+    made = {}
     out = []
     for r, row in enumerate(rows):
         terms = {}
-        for key, coeff in row.items():
+        for key, q in row.items():
             if isinstance(key, tuple):
-                c, mono = key
+                c, factors, part = key
                 if (r < k) != (c < k):
                     raise ValueError("subspaces are not invariant under the matrix")
-                terms.setdefault(c, []).append((mono, coeff))
-        out.append({c: PolyScalar(t) for c, t in terms.items()})
+                terms.setdefault(c, []).append((factors, part, q))
+        out.append({c: made.get(entry := tuple(t)) or made.setdefault(entry, PolyScalar([
+            (monos[f], GaussRational(0, q) if part else GaussRational(q)) for f, part, q in t
+        ])) for c, t in terms.items()})
     return ExactMatrix._trusted(n, n, tuple(out))
 
 

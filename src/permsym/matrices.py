@@ -18,8 +18,9 @@ factor, and entries that cancel to zero are dropped.
 ``conjugate``, ``substitute``) memoise one call by operand value, ``(x, y)``
 in ``+`` and ``x`` in a map: each distinct operand is computed once, and its
 one non-zero result fills every entry it gives, so the memo never outgrows
-the output.  ``@`` has none: its keys would grow with the products made,
-not with the output.
+the output.  ``@`` memoises its products by ``(x, y)`` too, but a product
+need not fill an entry of its own, so its memo takes a new pair only while
+it holds fewer than the non-zeros of the output rows made so far.
 """
 
 from __future__ import annotations
@@ -191,15 +192,22 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         b = other._r
+        memo = {}
+        room = 0  # the output's non-zeros so far: the most the memo may hold
         out = []
         for a_row in self._r:
             acc = {}
-            for t, x in sorted(a_row.items()):
+            for t, x in sorted(a_row.items()) if len(a_row) > 1 else a_row.items():
                 for c, y in b[t].items():
-                    xy = x if y is ONE else y if x is ONE else x * y
+                    xy = x if y is ONE else y if x is ONE else memo.get((x, y))
+                    if xy is None:
+                        xy = x * y
+                        if len(memo) < room:
+                            memo[x, y] = xy
                     prev = acc.get(c)
                     acc[c] = xy if prev is None else prev + xy
-            out.append({c: v for c, v in acc.items() if v})
+            out.append(row := {c: v for c, v in acc.items() if v})
+            room += len(row)
         return ExactMatrix._trusted(self.rows, other.cols, tuple(out))
 
     def transpose(self):

@@ -378,9 +378,10 @@ class PolyScalar:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant hashes as its GaussRational, as it compares equal to it
         h = self._hash
         if h is None:
-            h = hash(self._terms)
+            h = hash(self.constant_value() if self.is_constant() else self._terms)
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -29,7 +29,9 @@ per matrix, not from all n indices:
   fails the pairwise test against ``k``.  A level without an anchor draws from
   the members of its cell.  Because the partition is stable, the size of a
   row's classes depends only on the row's cell, so the anchor is fixed before
-  the search starts.
+  the search starts.  It is found in O(deg i): the non-zero classes from the
+  non-zeros ``H[k, i]``, then the zero classes, each its cell less the
+  non-zeros of one member's row, ranked once per cell of ``i``.
 
 Every drawn candidate still passes the full pairwise test against all
 ``k < i``.  The lists only skip candidates that the test or the cells would
@@ -225,7 +227,7 @@ def _refine(pairs):
         sigs = {}
         cell = [
             sigs.setdefault(
-                (cell[u], frozenset(Counter(zip(row.values(), [cell[v] for v in row])).items())),
+                (cell[u], tuple(sorted(zip(row.values(), map(cell.__getitem__, row))))),
                 len(sigs),
             )
             for u, row in enumerate(pairs)
@@ -259,15 +261,17 @@ def _plan(pairs):
     for v, c in enumerate(cell):
         members.setdefault(c, []).append(v)
     members = {c: tuple(vs) for c, vs in members.items()}
-    # a row's class sizes depend only on its cell, because the partition is
-    # stable: count them, once per cell, in the first member's row
-    sizes = {}
-
-    def class_size(ck, c, ci):
-        if ck not in sizes:
-            row = pairs[members[ck][0]]
-            sizes[ck] = Counter((row.get(v, (0, 0))[0], cv) for v, cv in enumerate(cell))
-        return sizes[ck][c, ci]
+    # count the non-zero classes (cell of k, colour, cell of v) in the first
+    # member's row of each cell; per cell ci, rank the zero classes below it
+    sizes = Counter(
+        (ck, p[0], cell[v]) for ck, ks in members.items() for v, p in pairs[ks[0]].items() if p[0]
+    )
+    nonzero = Counter((ck, cv) for ck, _, cv in sizes.elements())
+    ranked = {}
+    for (ck, cv), m in nonzero.items():
+        if m < len(members[cv]):
+            ranked.setdefault(cv, []).append((len(members[cv]) - m, ck))
+    ranked = {cv: sorted(zeros) for cv, zeros in ranked.items()}
 
     levels = []
     wanted = {}
@@ -275,24 +279,38 @@ def _plan(pairs):
         ci = cell[i]
         level = None
         if len(members[ci]) > 1:
-            # the anchor is the earliest k < i whose class is smallest;
-            # ``first`` maps each (cell of k, H[k, i]) to its earliest k
+            # (size, k, colour of H[k, i]) of the smallest class, if below the
+            # cell's size: the non-zero classes, then the ranked zero ones up
+            # to that size; a cell's first k with H[k, i] zero is past at most
+            # deg(i) others.  Ties go to the earliest k
             row = pairs[i]
-            first = {(cell[k], row.get(k, (0, 0))[1]): k for k in range(i - 1, -1, -1)}
-            size, k = min(
-                ((class_size(ck, c, ci), k) for (ck, c), k in first.items()),
-                default=(n, None),
-            )
-            if size < len(members[ci]):
-                level = (k, (row.get(k, (0, 0))[1], ci))
-                wanted.setdefault(cell[k], set()).add(level[1])
+            best = min([(len(members[ci]), -1, 0)] + [
+                (sizes[cell[k], c, ci], k, c) for k, (_, c) in row.items() if c and k < i
+            ])
+            for size, ck in ranked.get(ci, ()):
+                if size > best[0]:
+                    break
+                for k in members[ck]:
+                    if k >= i:
+                        break
+                    p = row.get(k)
+                    if p is None or not p[1]:
+                        best = min(best, (size, k, 0))
+                        break
+            if best[1] >= 0:
+                level = (best[1], (best[2], ci))
+                wanted.setdefault(cell[best[1]], set()).add(level[1])
         levels.append(level)
     index = [None] * n
     for ck, keys in wanted.items():
         for u in members[ck]:
-            get = pairs[u].get
+            # each class from the smaller of its cell and the row's non-zeros
+            row = pairs[u]
             index[u] = {
-                (c, cv): tuple(v for v in members[cv] if get(v, (0, 0))[0] == c) for c, cv in keys
+                (c, cv): tuple(v for v in members[cv] if row.get(v, (0, 0))[0] == c)
+                if not c or len(members[cv]) <= len(row)
+                else tuple(sorted(v for v, p in row.items() if p[0] == c and cell[v] == cv))
+                for c, cv in keys
             }
     return _Plan(
         cells=tuple(members[c] for c in cell),

@@ -22,6 +22,7 @@ from permsym import (
     sigma_at,
 )
 from permsym.scalars import Monomial
+from permsym.search import _Plan, _refine
 
 
 # -- random generators (seeded by the caller) ------------------------------
@@ -135,6 +136,81 @@ def dense_refine(colors):
     return cell
 
 
+# -- the plan's anchor scan over every earlier index: the reference -----------
+
+
+def dense_plan(pairs):
+    """The pruned search's plan (``search._Plan``), with each level's anchor
+    found by scanning every ``k < i``: the O(n^2) scan that ``_plan`` replaced.
+
+    Level ``i`` maps each (cell of k, colour of H[k, i]) to its earliest k and
+    takes the smallest class, ties to the earliest k; class sizes are counted
+    over every ``v`` of a cell's first member's row, zeros included.
+    """
+    n = len(pairs)
+    cell = _refine(pairs)
+    members = {}
+    for v, c in enumerate(cell):
+        members.setdefault(c, []).append(v)
+    members = {c: tuple(vs) for c, vs in members.items()}
+    sizes = {}
+
+    def class_size(ck, c, ci):
+        if ck not in sizes:
+            row = pairs[members[ck][0]]
+            sizes[ck] = Counter((row.get(v, (0, 0))[0], cv) for v, cv in enumerate(cell))
+        return sizes[ck][c, ci]
+
+    levels = []
+    wanted = {}
+    for i in range(n):
+        ci = cell[i]
+        level = None
+        if len(members[ci]) > 1:
+            row = pairs[i]
+            first = {(cell[k], row.get(k, (0, 0))[1]): k for k in range(i - 1, -1, -1)}
+            size, k = min(
+                ((class_size(ck, c, ci), k) for (ck, c), k in first.items()),
+                default=(n, None),
+            )
+            if size < len(members[ci]):
+                level = (k, (row.get(k, (0, 0))[1], ci))
+                wanted.setdefault(cell[k], set()).add(level[1])
+        levels.append(level)
+    index = [None] * n
+    for ck, keys in wanted.items():
+        for u in members[ck]:
+            get = pairs[u].get
+            index[u] = {
+                (c, cv): tuple(v for v in members[cv] if get(v, (0, 0))[0] == c) for c, cv in keys
+            }
+    return _Plan(
+        cells=tuple(members[c] for c in cell),
+        levels=tuple(levels),
+        index=tuple(index),
+        checks=tuple(tuple((k, p) for k, p in pairs[i].items() if k < i) for i in range(n)),
+    )
+
+
+class LookupCountingDict(dict):
+    """A dict that counts the key lookups made through ``get``, ``[]`` and
+    ``in`` on all its instances, in ``LookupCountingDict.lookups``."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        LookupCountingDict.lookups += 1
+        return dict.get(self, key, default)
+
+    def __getitem__(self, key):
+        LookupCountingDict.lookups += 1
+        return dict.__getitem__(self, key)
+
+    def __contains__(self, key):
+        LookupCountingDict.lookups += 1
+        return dict.__contains__(self, key)
+
+
 # -- naive dense kernels: references for the zero-skipping ones --------------
 
 
@@ -192,10 +268,14 @@ def reference_similarity(h, vectors):
 # -- exact kernel of a parametric matrix on constant vectors ----------------
 
 
-def _rref(rows):
+def _rref(rows, pivot_cols=None):
+    """Dense Gauss-Jordan in place; returns the pivot columns.  The pivot for
+    column c is the first row at or past the next pivot position with a
+    non-zero there; pivots come from the first ``pivot_cols`` columns (all
+    by default), and the other columns ride along."""
     if not rows:
         return []
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if pivot_cols is None else pivot_cols
     pivots = []
     r = 0
     for c in range(ncols):

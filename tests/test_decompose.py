@@ -20,8 +20,11 @@ from permsym import (
     projectors_from_involution,
     verify_eigenpair,
 )
+from permsym.decompose import _rref
+from permsym.scalars import I
 
 from helpers import (
+    LookupCountingDict,
     _rref as reference_rref,
     constant_kernel_basis,
     ising_chain,
@@ -476,3 +479,94 @@ class TestIndependentOracles:
             zero_columns += any(not any(col) for col in columns)
             negative_lead += any(next((x for x in col if x), 0) < 0 for col in columns)
         assert deficient >= 10 and zero_columns >= 10 and negative_lead >= 10
+
+
+class TestSparseElimination:
+    """``_rref`` on sparse rows against the dense Gauss-Jordan of ``helpers``."""
+
+    def test_matches_dense_elimination(self):
+        rng = random.Random(2006)
+        dependent = deficient = riding = 0
+        for _ in range(300):
+            ncols, rhs = rng.randint(0, 7), [("rhs", j) for j in range(rng.randint(0, 3))]
+            keys = [*range(ncols), *rhs]
+            rows = []
+            for _ in range(rng.randint(0, 8)):
+                if rows and rng.random() < 0.3:
+                    # a combination of two earlier rows
+                    a, b, f = rng.choice(rows), rng.choice(rows), Fraction(rng.randint(-3, 3), 2)
+                    row = {t: x for t in keys if (x := a.get(t, 0) + f * b.get(t, 0))}
+                    dependent += 1
+                else:
+                    row = {t: x for t in keys
+                           if rng.random() < 0.4 and (x := Fraction(rng.randint(-4, 4), rng.randint(1, 3)))}
+                rows.append(row)
+            dense = [[Fraction(row.get(t, 0)) for t in keys] for row in rows]
+            pivots = reference_rref(dense, ncols)
+            sparse = list(map(dict, rows))
+            assert _rref(sparse, ncols) == pivots
+            assert sparse == [{t: x for t, x in zip(keys, row) if x} for row in dense]
+            deficient += len(pivots) < min(ncols, len(rows))
+            riding += any(t in rhs for row in sparse[len(pivots):] for t in row)
+        assert dependent >= 100 and deficient >= 50 and riding >= 20
+
+    def test_lookups_grow_with_the_non_zeros(self):
+        # the columns of (I+P)/2 for the spin flip of dimension 1024, as
+        # column_space_basis eliminates them; a scan of every row per pivot
+        # makes about n^2/2 lookups
+        n = 1024
+        pair = projectors_from_involution(Perm([n - 1 - u for u in range(n)]))
+        cols = [LookupCountingDict() for _ in range(n)]
+        for r, row in enumerate(pair.pi1._r):
+            for c, x in row.items():
+                cols[c][r] = x.constant_value().re
+        nnz = sum(map(len, cols))
+        LookupCountingDict.lookups = 0
+        assert len(_rref(cols, n)) == n // 2
+        assert LookupCountingDict.lookups <= 4 * nnz
+
+
+class TestImaginaryParts:
+    """H = S + iA with S real symmetric and A real antisymmetric: the parts of
+    each coefficient go through the elimination as vectors of their own."""
+
+    def test_invariance_and_blocks_with_imaginary_parts(self):
+        rng = random.Random(9071)
+        outcomes = {True: 0, False: 0}
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            s, p = rand_with_involution(rng, n, complex_entries=False)
+            keep = rng.random() < 0.5
+            a = {}
+            for u in range(n):
+                for v in range(u + 1, n):
+                    x = rand_scalar(rng)
+                    a[u, v] = x + x.conjugate()
+                    a[v, u] = -a[u, v]
+            imag = [a.get((u, v), PolyScalar()) * I for u in range(n) for v in range(n)]
+            if keep:
+                imag = [imag[u * n + v] + imag[p(u) * n + p(v)] for u in range(n) for v in range(n)]
+            h = s + ExactMatrix(n, n, imag)
+            assert h.is_hermitian()
+            b1, b2 = involution_split(p)
+            x = reference_similarity(h, list(b1) + list(b2))
+            k = len(b1)
+            lower = all(x[r, c].is_zero() for r in range(k, n) for c in range(k))
+            upper = all(x[r, c].is_zero() for r in range(k) for c in range(k, n))
+            assert is_invariant_subspace(h, b1) == lower
+            assert is_invariant_subspace(h, b2) == upper
+            if lower and upper:
+                assert block_form(h, b1, b2) == x
+            else:
+                # S is P-invariant, so only the imaginary parts break invariance
+                assert not keep
+                with pytest.raises(ValueError, match="not invariant"):
+                    block_form(h, b1, b2)
+            outcomes[lower and upper] += 1
+        assert min(outcomes.values()) >= 10
+
+    def test_column_space_basis_refuses_imaginary_entries(self):
+        m = ExactMatrix.from_rows([["1", "i"], ["-i", "1"]])
+        assert m.is_hermitian()
+        with pytest.raises(ValueError, match="non-real"):
+            column_space_basis(m)

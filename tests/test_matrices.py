@@ -14,6 +14,7 @@ from permsym import (
     parse,
     rational,
     sigma,
+    sigma_at,
     star2,
 )
 from permsym.scalars import ONE, ZERO, GaussRational, PolyScalar
@@ -333,6 +334,48 @@ class TestKernelOracles:
         product = a @ b
         assert product == reference_matmul(a, b)
         assert_zeros_shared(product)
+
+    @seed(1978)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_matmul_multiplies_each_pair_once_within_its_bound(self, data):
+        # fresh entries: equal values are distinct objects, so the memo must
+        # go by value.  It takes a new pair only while it holds fewer than the
+        # non-zeros of the output rows made so far; a pair it holds is not
+        # multiplied again
+        n, k, m = data.draw(dims), data.draw(dims), data.draw(dims)
+        a, b = data.draw(fresh_matrices(n, k)), data.draw(fresh_matrices(k, m))
+        expected = reference_matmul(a, b)
+        memo, room, products = set(), 0, 0
+        for r, a_row in enumerate(a._r):
+            for t, x in sorted(a_row.items()):
+                for y in b._r[t].values():
+                    if (x, y) not in memo:
+                        products += 1
+                        if len(memo) < room:
+                            memo.add((x, y))
+            room += len(expected._r[r])
+        made = []
+        multiply = PolyScalar.__mul__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PolyScalar, "__mul__", lambda x, y: made.append((x, y)) or multiply(x, y))
+            product = a @ b
+        assert product == expected
+        assert len(made) == products
+        assert len(memo) <= sum(map(len, product._r))
+
+    def test_spin_chain_couplings_make_one_product(self):
+        # z_j z_{j+1} on 6 sites: a quarter of the rows multiply -1 by -1, and
+        # every other product has a factor ONE
+        made = []
+        multiply = PolyScalar.__mul__
+        z = [sigma_at(3, j, 6) for j in (1, 2)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PolyScalar, "__mul__", lambda x, y: made.append((x, y)) or multiply(x, y))
+            product = z[0] @ z[1]
+        assert product == reference_matmul(*z)
+        assert len(made) == 1
+        assert len({id(x) for row in product._r for x in row.values() if x is not ONE and x == 1}) == 1
 
     @seed(4721)
     @KERNEL_SETTINGS

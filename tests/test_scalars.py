@@ -106,6 +106,37 @@ class TestGaussRationalOracle:
             assert zx == a[0] == x[0]
 
 
+@st.composite
+def scalars(draw):
+    """An int, Fraction, GaussRational or PolyScalar, drawn from few values so
+    that equal values of different types come up often."""
+    re = draw(st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-3, 4)]))
+    im = draw(st.sampled_from([0, 0, 1, Fraction(-1, 2)]))
+    forms = [GaussRational(re, im), PolyScalar.constant(GaussRational(re, im))]
+    if not im:
+        forms.append(Fraction(re))
+        if Fraction(re).denominator == 1:
+            forms.append(int(re))
+    forms.append(PolyScalar.constant(GaussRational(re, im)) + param("t") * draw(parts))
+    return draw(st.sampled_from(forms))
+
+
+class TestScalarHashes:
+    @seed(1731)
+    @SCALAR_SETTINGS
+    @given(scalars(), scalars())
+    def test_equal_scalars_hash_equal(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_one_key_per_value(self):
+        two = {parse("2"), 2, Fraction(2), GaussRational(2)}
+        assert len(two) == 1
+        assert len({parse("0"), 0, GaussRational(0)}) == 1
+        assert len({parse("1/2 + i"), GaussRational(Fraction(1, 2), 1)}) == 1
+        assert hash(parse("0")) == 0
+
+
 class TestMonomial:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

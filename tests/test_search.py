@@ -33,6 +33,8 @@ from permsym.search import (
 )
 
 from helpers import (
+    LookupCountingDict,
+    dense_plan,
     dense_refine,
     ising_chain,
     rand_symmetric,
@@ -508,6 +510,44 @@ class TestRefinement:
         for h in (build("ising4"), *map(ising_chain, (5, 6, 7)), *paths, diagonal):
             pairs = _color_table(h)
             assert _refine(pairs) == dense_refine(dense_colors(pairs))
+
+
+class TestPlan:
+    """The anchors read from the non-zeros and the ranked zero classes give
+    the plan of the scan over every earlier index."""
+
+    @seed(1968)
+    @PROPERTY_SETTINGS
+    @given(st.one_of(color_matrices(max_n=12), sparse_color_matrices(), tree_color_matrices()))
+    def test_matches_the_dense_scan(self, h):
+        pairs = _color_table(h)
+        assert _plan(pairs) == dense_plan(pairs)
+
+    def test_spin_chains_paths_and_relabellings_match_the_dense_scan(self):
+        paths = [
+            ExactMatrix.from_rows([[int(abs(u - v) == 1) for v in range(n)] for u in range(n)])
+            for n in (2, 9, 40)
+        ]
+        relabelled = []
+        for k in range(4):
+            image = list(range(32))
+            random.Random(k).shuffle(image)
+            relabelled.append(relabel(ising_chain(5), Perm(image)))
+        for h in (*map(ising_chain, range(4, 10)), *paths, *relabelled):
+            pairs = _color_table(h)
+            assert _plan(pairs) == dense_plan(pairs)
+
+    def test_lookups_grow_with_the_non_zeros(self):
+        # the scan over every earlier index reads each row of ising10 about
+        # n/2 times: 64 lookups per non-zero; the plan reads each a few times
+        pairs = list(map(LookupCountingDict, _color_table(ising_chain(10))))
+        nnz = sum(map(len, pairs))
+        LookupCountingDict.lookups = 0
+        plan = _plan(pairs)
+        assert LookupCountingDict.lookups <= 2 * nnz
+        LookupCountingDict.lookups = 0
+        assert dense_plan(pairs) == plan
+        assert LookupCountingDict.lookups > 30 * nnz
 
 
 def relabel(h, sigma):
