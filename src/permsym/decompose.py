@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from math import lcm
 from operator import index
@@ -110,31 +111,25 @@ def _rref(rows, ncols):
 
     A row is a dict from a key to a non-zero int or Fraction.
     Pivots are taken from the keys 0..ncols-1 in order; any other key is a
-    right-hand side that rides along.  The pivot rows end up first, each
-    scaled so that its pivot is 1; the list and its dicts change in place.
-    The pivot of column c is the first row from position len(pivots) on that
-    holds c, and swaps there.  An index from each pivot column to the rows
-    that hold it, kept under fill and cancellation, finds it and the rows to
-    eliminate, so the work follows the fill (Davis 2006, ch. 2-3).
+    right-hand side that rides along.  The pivot rows end up first, in pivot
+    order, each scaled so that its pivot is 1; the list and its dicts change
+    in place.  An index from each pivot column to the rows that hold it, kept
+    under fill and cancellation, gives the pivot (any row not yet a pivot row)
+    and the rows to eliminate, so the work follows the fill (Davis 2006,
+    ch. 2-3).  Without a right-hand side, or at full rank, the pivot rows are
+    the unique RREF whichever row is taken.
     """
-    at = list(range(len(rows)))  # at[position] indexes rows; pos inverts it
-    pos = at[:]
     holders = {c: set() for c in range(ncols)}
     for k, row in enumerate(rows):
         for t in row:
             if (held := holders.get(t)) is not None:
                 held.add(k)
-    pivots = []
+    done = {}  # each pivot row to its column, in pivot order
     for c, held in holders.items():
-        r = len(pivots)
-        if r == len(rows):
-            break
-        k = min((k for k in held if pos[k] >= r), key=pos.__getitem__, default=None)
+        k = next((k for k in held if k not in done), None)
         if k is None:
             continue
-        p, m = pos[k], at[r]
-        at[p], at[r] = m, k
-        pos[m], pos[k] = p, r
+        done[k] = c
         pivot = rows[k]
         if pivot[c] != 1:
             inv = Fraction(1) / pivot[c]
@@ -158,9 +153,8 @@ def _rref(rows, ncols):
                     del row[t]
                     if (fill := holders.get(t)) is not None:
                         fill.discard(e)
-        pivots.append(c)
-    rows[:] = [rows[k] for k in at]
-    return pivots
+    rows[:] = [*map(rows.__getitem__, done), *(row for k, row in enumerate(rows) if k not in done)]
+    return list(done.values())
 
 
 def _primitive(row):
@@ -274,7 +268,13 @@ def block_form(h, basis1, basis2):
     k = len(basis1)
     # per call: each monomial by its factors, and each entry by its parts
     monos = {m.factors: m for row in h._r for y in row.values() for m, _ in y.terms()}
-    made = {}
+
+    @cache
+    def entry(parts):
+        return PolyScalar([
+            (monos[f], GaussRational(0, q) if part else GaussRational(q)) for f, part, q in parts
+        ])
+
     out = []
     for r, row in enumerate(rows):
         terms = {}
@@ -284,9 +284,7 @@ def block_form(h, basis1, basis2):
                 if (r < k) != (c < k):
                     raise ValueError("subspaces are not invariant under the matrix")
                 terms.setdefault(c, []).append((factors, part, q))
-        out.append({c: made.get(entry := tuple(t)) or made.setdefault(entry, PolyScalar([
-            (monos[f], GaussRational(0, q) if part else GaussRational(q)) for f, part, q in t
-        ])) for c, t in terms.items()})
+        out.append({c: entry(tuple(t)) for c, t in terms.items()})
     return ExactMatrix._trusted(n, n, tuple(out))
 
 

@@ -304,12 +304,12 @@ def _plan(pairs):
     index = [None] * n
     for ck, keys in wanted.items():
         for u in members[ck]:
-            # each class from the smaller of its cell and the row's non-zeros
+            # a zero class from its cell, a non-zero one from the row's non-zeros
             row = pairs[u]
             index[u] = {
-                (c, cv): tuple(v for v in members[cv] if row.get(v, (0, 0))[0] == c)
-                if not c or len(members[cv]) <= len(row)
-                else tuple(sorted(v for v, p in row.items() if p[0] == c and cell[v] == cv))
+                (c, cv): tuple(sorted(v for v, p in row.items() if p[0] == c and cell[v] == cv))
+                if c
+                else tuple(v for v in members[cv] if row.get(v, (0, 0))[0] == c)
                 for c, cv in keys
             }
     return _Plan(

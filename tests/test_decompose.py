@@ -505,9 +505,20 @@ class TestSparseElimination:
             pivots = reference_rref(dense, ncols)
             sparse = list(map(dict, rows))
             assert _rref(sparse, ncols) == pivots
-            assert sparse == [{t: x for t, x in zip(keys, row) if x} for row in dense]
-            deficient += len(pivots) < min(ncols, len(rows))
-            riding += any(t in rhs for row in sparse[len(pivots):] for t in row)
+            r = len(pivots)
+            out = [[Fraction(row.get(t, 0)) for t in keys] for row in sparse]
+            # the rows span the same space: their full RREFs agree
+            a, b = [row[:] for row in out], [row[:] for row in dense]
+            assert reference_rref(a) == reference_rref(b) and a == b
+            # the pivot rows are the unique RREF on the pivot columns, and the
+            # other rows vanish there
+            assert [row[:ncols] for row in out] == [row[:ncols] for row in dense]
+            if all(t not in rhs for row in sparse[r:] for t in row):
+                # no right-hand side is left over, so the pivot rows are unique
+                assert out[:r] == dense[:r]
+            else:
+                riding += 1
+            deficient += r < min(ncols, len(rows))
         assert dependent >= 100 and deficient >= 50 and riding >= 20
 
     def test_lookups_grow_with_the_non_zeros(self):
