@@ -24,7 +24,7 @@ from math import lcm
 from operator import index
 
 from .matrices import DimensionError, ExactMatrix, _set
-from .scalars import GaussRational, PolyScalar, as_scalar, rational
+from .scalars import GaussRational, PolyScalar, _q, as_scalar, rational
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ def projectors_from_involution(p):
 def _rref(rows, ncols):
     """Reduced row echelon form in place; returns the list of pivot columns.
 
-    A row is a dict from a key to a non-zero int or Fraction.
+    A row is a dict from a key to a non-zero int, or a Fraction if not
+    integral; every entry made keeps that rule, so integral work stays in C.
     Pivots are taken from the keys 0..ncols-1 in order; any other key is a
     right-hand side that rides along.  The pivot rows end up first, in pivot
     order, each scaled so that its pivot is 1; the list and its dicts change
@@ -132,23 +133,23 @@ def _rref(rows, ncols):
         done[k] = c
         pivot = rows[k]
         if pivot[c] != 1:
-            inv = Fraction(1) / pivot[c]
+            inv = _q(Fraction(1) / pivot[c])
             for t, y in pivot.items():
-                pivot[t] = y * inv
+                pivot[t] = _q(y * inv)
         for e in list(held):
             if e == k:
                 continue
             row = rows[e]
             f = row[c]
             for t, y in pivot.items():
-                fy = y if f == 1 else f * y
+                fy = y if f == 1 else _q(f * y)
                 v = row.get(t)
                 if v is None:
                     row[t] = -fy
                     if (fill := holders.get(t)) is not None:
                         fill.add(e)
                 elif v := v - fy:
-                    row[t] = v
+                    row[t] = _q(v)
                 else:
                     del row[t]
                     if (fill := holders.get(t)) is not None:

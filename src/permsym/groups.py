@@ -2,12 +2,15 @@
 orders, conjugacy classes and generators.
 
 The group layer composes image tuples, ``Perm.image``: "apply ``x``, then
-``h``" is ``tuple([h[j] for j in x])``, the image of ``x * h``.  A verified
-group keeps one dict from image tuple to element position, which serves
-every membership test and index lookup.
+``h``" is ``itemgetter(*x)(h)``, the image of ``x * h``, a tuple because a
+group of two or more elements acts on n >= 2 indices.  A verified group
+keeps one dict from image tuple to element position, which serves every
+membership test and index lookup.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .perms import Perm, _trusted
 
@@ -101,8 +104,9 @@ def verify_closure(elements):
         # need every generator
         old = len(reached)
         for i, x in enumerate(reached):
+            get = itemgetter(*x)
             for h in gens if i >= old else (g,):
-                prod = tuple([h[j] for j in x])
+                prod = get(h)
                 at = index.get(prod)
                 if at is None:
                     a, b = index[x], index[h]
@@ -141,7 +145,7 @@ def conjugacy_classes(group):
     """
     index = group._index
     images = list(index)
-    gens = [(g.inverse().image, g.image) for g in group.generators]
+    gens = [(itemgetter(*g.inverse().image), g.image) for g in group.generators]
     assigned = bytearray(len(images))
     classes = []
     for k in range(len(images)):
@@ -153,7 +157,7 @@ def conjugacy_classes(group):
             y = images[m]
             for g_inv, g in gens:
                 # the image of g_inv * y * g
-                i = index[tuple([g[y[j]] for j in g_inv])]
+                i = index[itemgetter(*g_inv(y))(g)]
                 if not assigned[i]:
                     assigned[i] = 1
                     members.append(i)

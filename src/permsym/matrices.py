@@ -12,15 +12,19 @@ singleton.  ``@`` is a row-wise sparse product
 (Gustavson, ACM TOMS 1978): each non-zero ``a[r, t]``, in ascending ``t``,
 adds ``a[r, t] * b[t, c]`` over the non-zeros of row ``t`` of ``b`` into the
 row's accumulator.  Products with the ``ONE`` singleton return the other
-factor, and entries that cancel to zero are dropped.
+factor.  A product of non-zero polynomials is non-zero, so only a row in
+which two products met in a column is filtered for sums that cancel.
 
 ``+`` and the entrywise maps (unary minus, scalar ``*`` and ``/``,
 ``conjugate``, ``substitute``) memoise one call by operand value, ``(x, y)``
-in ``+`` and ``x`` in a map: each distinct operand is computed once, and its
-one non-zero result fills every entry it gives, so the memo never outgrows
-the output.  ``@`` memoises its products by ``(x, y)`` too, but a product
-need not fill an entry of its own, so its memo takes a new pair only while
-it holds fewer than the non-zeros of the output rows made so far.
+in ``+`` and ``x`` in a map: each distinct operand is computed once, a zero
+result included, which the memo holds as ``ZERO``.  So a map's memo never
+outgrows its operand's non-zeros, nor the memo of ``+`` the right operand's;
+where sums cancel, that is more than the output's.  A row of ``+`` whose
+right row is empty is the left row itself, shared.  ``@`` memoises its
+products by ``(x, y)`` too, but a product need not fill an entry of its own,
+so its memo takes a new pair only while it holds fewer than the non-zeros of
+the output rows made so far.
 """
 
 from __future__ import annotations
@@ -135,12 +139,12 @@ class ExactMatrix:
 
         def g(x):
             y = memo.get(x)
-            if y is None and (y := f(x)):
-                memo[x] = y
+            if y is None:
+                y = memo[x] = f(x) or ZERO
             return y
 
         return ExactMatrix._trusted(self.rows, self.cols, tuple(
-            {c: y for c, x in row.items() if (y := g(x))} for row in self._r
+            {c: y for c, x in row.items() if (y := g(x)) is not ZERO} for row in self._r
         ))
 
     def __add__(self, other):
@@ -151,16 +155,14 @@ class ExactMatrix:
         memo = {}
         out = []
         for a_row, b_row in zip(self._r, other._r):
-            row = dict(a_row)
+            row = dict(a_row) if b_row else a_row
             for c, y in b_row.items():
                 key = (row.pop(c, ZERO), y)
                 s = memo.get(key)
                 if s is None:
-                    s = key[0] + y
-                    if not s:
-                        continue
-                    memo[key] = s
-                row[c] = s
+                    s = memo[key] = key[0] + y or ZERO
+                if s is not ZERO:
+                    row[c] = s
             out.append(row)
         return ExactMatrix._trusted(self.rows, self.cols, tuple(out))
 
@@ -197,6 +199,7 @@ class ExactMatrix:
         out = []
         for a_row in self._r:
             acc = {}
+            met = False  # whether two products met in a column of this row
             for t, x in sorted(a_row.items()) if len(a_row) > 1 else a_row.items():
                 for c, y in b[t].items():
                     xy = x if y is ONE else y if x is ONE else memo.get((x, y))
@@ -205,8 +208,11 @@ class ExactMatrix:
                         if len(memo) < room:
                             memo[x, y] = xy
                     prev = acc.get(c)
-                    acc[c] = xy if prev is None else prev + xy
-            out.append(row := {c: v for c, v in acc.items() if v})
+                    if prev is not None:
+                        xy = prev + xy
+                        met = True
+                    acc[c] = xy
+            out.append(row := {c: v for c, v in acc.items() if v} if met else acc)
             room += len(row)
         return ExactMatrix._trusted(self.rows, other.cols, tuple(out))
 

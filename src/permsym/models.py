@@ -34,13 +34,18 @@ def sigma(k):
 def sigma_at(k, j, n):
     """Pauli sigma_k acting on site j (1-based) of an n-site chain.
 
-    Kronecker embedding with identity factors elsewhere, so site 1 is the
-    most significant factor of the 2^n-dimensional space.
+    The Kronecker embedding with identity factors elsewhere, so site 1 is the
+    most significant factor of the 2^n-dimensional space, built in one pass:
+    row ``u`` has bit ``a`` at site ``j``, and each entry ``(b, x)`` of
+    sigma's row ``a`` is the entry ``x`` at column ``u + (b - a) * 2^(n-j)``.
     """
     if not 1 <= j <= n:
         raise ModelError(f"site {j} out of range 1..{n}")
-    left, right = ExactMatrix.identity(2 ** (j - 1)), ExactMatrix.identity(2 ** (n - j))
-    return kron(kron(left, sigma(k)), right)
+    shift = n - j
+    offsets = [[((b - a) << shift, x) for b, x in row.items()] for a, row in enumerate(sigma(k)._r)]
+    return ExactMatrix._trusted(1 << n, 1 << n, tuple(
+        {u + d: x for d, x in offsets[(u >> shift) & 1]} for u in range(1 << n)
+    ))
 
 
 @dataclass(frozen=True)

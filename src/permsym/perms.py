@@ -17,7 +17,11 @@ from .scalars import ONE
 
 
 class Perm:
-    __slots__ = ("image",)
+    """A permutation of ``0..n-1`` by its image tuple.  ``_order`` keeps the
+    order once a cycle walk has found it: the int only, not the cycle string,
+    so that a large group's elements stay small."""
+
+    __slots__ = ("image", "_order")
 
     def __init__(self, image):
         image = tuple(image)
@@ -71,7 +75,11 @@ class Perm:
 
     def order(self):
         """Least m >= 1 with p^m = identity (lcm of cycle lengths)."""
-        return cycle_summary(self.image)[1]
+        try:
+            return self._order
+        except AttributeError:
+            _set_order(self, order := cycle_summary(self.image)[1])
+            return order
 
     def cycles(self):
         """All cycles, fixed points included, each starting at its least element."""
@@ -91,7 +99,9 @@ class Perm:
         return out
 
     def cycle_string(self):
-        return cycle_summary(self.image)[0]
+        text, order = cycle_summary(self.image)
+        _set_order(self, order)
+        return text
 
     def to_matrix(self):
         """The 0/1 matrix with a 1 at (u, image[u]) for every u."""
@@ -104,6 +114,9 @@ class Perm:
         if not m.is_permutation_matrix():
             raise ValueError("not a permutation matrix")
         return cls(next(iter(row)) for row in m._r)
+
+    def __reduce__(self):
+        return (Perm, (self.image,))
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.image == other.image
@@ -121,8 +134,9 @@ class Perm:
         return ",".join(str(j) for j in self.image)
 
 
-# the slot's own setter, which bypasses the immutability guard in __setattr__
+# the slots' own setters, which bypass the immutability guard in __setattr__
 _set_image = Perm.image.__set__
+_set_order = Perm._order.__set__
 
 
 def _trusted(image):

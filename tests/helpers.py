@@ -17,8 +17,10 @@ from permsym import (
     GroupError,
     Perm,
     PolyScalar,
+    kron,
     param,
     parse,
+    sigma,
     sigma_at,
 )
 from permsym.scalars import Monomial
@@ -496,6 +498,12 @@ ISING4_ROWS = [
     "0 0 0 0 0 0 b 0 0 0 b 0 b 0 0 b",
     "0 0 0 0 0 0 0 b 0 0 0 b 0 b b 4*a",
 ]
+
+
+def kron_sigma_at(k, j, n):
+    """Pauli sigma_k on site j (1-based) of n sites, as ``kron(kron(I, sigma_k), I)``."""
+    left, right = ExactMatrix.identity(2 ** (j - 1)), ExactMatrix.identity(2 ** (n - j))
+    return kron(kron(left, sigma(k)), right)
 
 
 def ising_chain(L):

@@ -21,7 +21,7 @@ from permsym import (
     verify_eigenpair,
 )
 from permsym.decompose import _rref
-from permsym.scalars import I
+from permsym.scalars import I, _q
 
 from helpers import (
     LookupCountingDict,
@@ -481,26 +481,36 @@ class TestIndependentOracles:
         assert deficient >= 10 and zero_columns >= 10 and negative_lead >= 10
 
 
+def elimination_sets():
+    """300 random sparse rational row sets, seeded: yields (pivot column
+    count, right-hand-side keys, rows, rows made by combining earlier ones)."""
+    rng = random.Random(2006)
+    for _ in range(300):
+        ncols, rhs = rng.randint(0, 7), [("rhs", j) for j in range(rng.randint(0, 3))]
+        keys = [*range(ncols), *rhs]
+        rows = []
+        dependent = 0
+        for _ in range(rng.randint(0, 8)):
+            if rows and rng.random() < 0.3:
+                # a combination of two earlier rows
+                a, b, f = rng.choice(rows), rng.choice(rows), Fraction(rng.randint(-3, 3), 2)
+                row = {t: x for t in keys if (x := a.get(t, 0) + f * b.get(t, 0))}
+                dependent += 1
+            else:
+                row = {t: x for t in keys
+                       if rng.random() < 0.4 and (x := Fraction(rng.randint(-4, 4), rng.randint(1, 3)))}
+            rows.append(row)
+        yield ncols, rhs, rows, dependent
+
+
 class TestSparseElimination:
     """``_rref`` on sparse rows against the dense Gauss-Jordan of ``helpers``."""
 
     def test_matches_dense_elimination(self):
-        rng = random.Random(2006)
         dependent = deficient = riding = 0
-        for _ in range(300):
-            ncols, rhs = rng.randint(0, 7), [("rhs", j) for j in range(rng.randint(0, 3))]
+        for ncols, rhs, rows, combined in elimination_sets():
             keys = [*range(ncols), *rhs]
-            rows = []
-            for _ in range(rng.randint(0, 8)):
-                if rows and rng.random() < 0.3:
-                    # a combination of two earlier rows
-                    a, b, f = rng.choice(rows), rng.choice(rows), Fraction(rng.randint(-3, 3), 2)
-                    row = {t: x for t in keys if (x := a.get(t, 0) + f * b.get(t, 0))}
-                    dependent += 1
-                else:
-                    row = {t: x for t in keys
-                           if rng.random() < 0.4 and (x := Fraction(rng.randint(-4, 4), rng.randint(1, 3)))}
-                rows.append(row)
+            dependent += combined
             dense = [[Fraction(row.get(t, 0)) for t in keys] for row in rows]
             pivots = reference_rref(dense, ncols)
             sparse = list(map(dict, rows))
@@ -520,6 +530,18 @@ class TestSparseElimination:
                 riding += 1
             deficient += r < min(ncols, len(rows))
         assert dependent >= 100 and deficient >= 50 and riding >= 20
+
+    def test_integral_entries_stay_ints(self):
+        # the entries come in as scalars store their parts: an int when
+        # integral, else a Fraction; so they go out
+        fractions = 0
+        for ncols, _, rows, _ in elimination_sets():
+            sparse = [{t: _q(x) for t, x in row.items()} for row in rows]
+            _rref(sparse, ncols)
+            values = [x for row in sparse for x in row.values()]
+            assert all(type(x) is int or x.denominator != 1 for x in values)
+            fractions += sum(type(x) is Fraction for x in values)
+        assert fractions >= 100
 
     def test_lookups_grow_with_the_non_zeros(self):
         # the columns of (I+P)/2 for the spin flip of dimension 1024, as

@@ -66,6 +66,15 @@ class TestVerifyClosure:
         assert "not closed" in str(info.value)
         assert info.value.witness == (cycle, cycle)
 
+    def test_not_closed_witness_keeps_the_product_order(self):
+        # a * b lies in the set and b * a does not: the witness is the pair
+        # whose product, applying the first and then the second, falls outside
+        a, b = Perm([1, 0, 2]), Perm([0, 2, 1])
+        assert b * a != a * b
+        with pytest.raises(GroupError, match="not closed") as info:
+            verify_closure([Perm.identity(3), a, b, a * b])
+        assert info.value.witness == (b, a)
+
     def test_missing_identity(self):
         with pytest.raises(GroupError) as info:
             verify_closure([Perm([1, 0])])

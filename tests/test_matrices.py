@@ -377,6 +377,41 @@ class TestKernelOracles:
         assert len(made) == 1
         assert len({id(x) for row in product._r for x in row.values() if x is not ONE and x == 1}) == 1
 
+    def test_rows_where_no_products_meet_are_not_filtered(self):
+        # no two products of z_1 z_2 meet in a column, and a product of
+        # non-zero polynomials is non-zero, so no entry is tested for zero
+        tested = []
+        truth = PolyScalar.__bool__
+        z = [sigma_at(3, j, 6) for j in (1, 2)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PolyScalar, "__bool__", lambda x: tested.append(x) or truth(x))
+            product = z[0] @ z[1]
+        assert not tested
+        assert product == reference_matmul(*z)
+
+    @seed(3301)
+    @KERNEL_SETTINGS
+    @given(st.data())
+    def test_add_makes_one_sum_per_distinct_pair(self, data):
+        # fresh entries, so the memo must go by value; a sum that cancels is
+        # memoised too, and a row with an empty right row is the left row
+        rows, cols = data.draw(dims), data.draw(dims)
+        a = data.draw(fresh_matrices(rows, cols))
+        b = data.draw(fresh_matrices(rows, cols))
+        add = PolyScalar.__add__
+        for right in (b, -a, ExactMatrix.zeros(rows, cols)):
+            made = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(PolyScalar, "__add__", lambda x, y: made.append((x, y)) or add(x, y))
+                got = a + right
+            pairs = list(zip(by_index(a), by_index(right)))
+            assert got == ExactMatrix(rows, cols, [x + y for x, y in pairs])
+            assert_dense_view(got)
+            assert len(made) == len({(x, y) for x, y in pairs if y})
+            for a_row, right_row, row in zip(a._r, right._r, got._r):
+                if not right_row:
+                    assert row is a_row
+
     @seed(4721)
     @KERNEL_SETTINGS
     @given(st.data())

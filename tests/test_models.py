@@ -11,7 +11,7 @@ from permsym import (
     sigma_at,
 )
 
-from helpers import ising4_printed
+from helpers import ising4_printed, kron_sigma_at
 
 
 class TestPauli:
@@ -29,6 +29,12 @@ class TestPauli:
         assert sigma_at(3, 1, 4) == kron(kron(kron(sigma(3), i2), i2), i2)
         assert sigma_at(1, 4, 4) == kron(kron(kron(i2, i2), i2), sigma(1))
         assert sigma_at(1, 1, 1) == sigma(1)
+
+    def test_sigma_at_matches_the_kronecker_embedding(self):
+        for n in range(1, 7):
+            for j in range(1, n + 1):
+                for k in (1, 2, 3):
+                    assert sigma_at(k, j, n) == kron_sigma_at(k, j, n)
 
     def test_sigma_at_out_of_range(self):
         with pytest.raises(ModelError):

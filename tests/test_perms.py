@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from permsym import ExactMatrix, Perm, build, induced_site_perm, is_symmetry
 from permsym.matrices import direct_sum, star2
 from permsym.models import sigma
+from permsym import perms
 from permsym.perms import cycle_summary
 
 
@@ -78,6 +81,40 @@ class TestBasics:
                 power, order = power * p, order + 1
             assert cycle_summary(p.image) == (text, order)
             assert p.order() == order and p.cycle_string() == text
+
+    def test_one_cycle_walk_gives_the_string_and_the_order(self, rng, monkeypatch):
+        walks = []
+        monkeypatch.setattr(
+            perms, "cycle_summary", lambda image: walks.append(image) or cycle_summary(image)
+        )
+        for n in (1, 5, 12):
+            p = rand_perm(rng, n)
+            text, order = cycle_summary(p.image)
+            del walks[:]
+            # a record asks for the string, then the order
+            assert p.cycle_string() == text and p.order() == order
+            assert len(walks) == 1
+            # the order alone walks once, however often it is asked for
+            q = Perm(p.image)
+            assert q.order() == q.order() == order
+            assert len(walks) == 2
+            # the string is not kept: each call walks again
+            assert q.cycle_string() == text
+            assert len(walks) == 3
+
+    def test_a_known_order_leaves_pickling_equality_and_hashing_alone(self, rng):
+        for n in (0, 1, 7):
+            p = rand_perm(rng, n)
+            fresh = Perm(p.image)
+            p.cycle_string()
+            for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+                assert type(q) is Perm and q == p == fresh and q.image == p.image
+                assert hash(q) == hash(p) == hash(fresh)
+                assert not q < p and not p < q
+                assert q.order() == p.order()
+            assert {p: 1}[fresh] == 1
+        with pytest.raises(AttributeError):
+            p._order = 3
 
 
 class TestMatrixRealization:
