@@ -206,36 +206,29 @@ def _run_search(matrix, args):
 # to its pure-Python encoder; here the layout of dicts and lists is done in
 # Python, a column of values at a time, and the scalars go to the C encoder.
 #
-# - A column of flat lists (a dict's list value is a column of one) is one
-#   call of a no-indent encoder whose item separator is ``",\n"`` and the
-#   indent of the items.  In its output the text ``"],\n" + indent + "["``
-#   only occurs between two lists, since an encoded string holds no raw
-#   newline, so a split on it gives each list's items.
 # - A column of dicts that share one key set, such as the symmetry records,
 #   is rendered key by key: one column of values per key, then one
 #   ``%``-template, built once, fills in every record.
 # - A column of strs or of ints maps over it the C function that the C
 #   encoder applies to each; any other scalar goes through the encoder.
-# - A column of int lists averaging over 4 items, with under a quarter as many
-#   distinct values as items (images), joins one ``int.__repr__`` text per value.
+# - A column of flat lists (a dict's list value is a column of one) takes one
+#   of two layouts, and each is the faster one on some reports:
+#   - int lists averaging over 4 items, with under a quarter as many distinct
+#     values as items (images), join one ``int.__repr__`` text per value;
+#   - any other column, such as a group's all-distinct classes and element
+#     orders, is one call of a no-indent encoder whose item separator is
+#     ``",\n"`` and the items' indent.  In its output ``"],\n" + indent + "["``
+#     only occurs between two lists, since an encoded string holds no raw
+#     newline, so a split on it gives each list's items.
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _SCALAR_ENCODERS = {str: encode_basestring_ascii, int: int.__repr__}
-_LEVELS = []  # [(line break, flat encoder)] by depth
-
-
-def _level(depth):
-    """The line break and indent of ``depth``, and a no-indent encoder whose
-    item separator breaks the line at ``depth``."""
-    while len(_LEVELS) <= depth:
-        nl = "\n" + "  " * len(_LEVELS)
-        _LEVELS.append((nl, JSONEncoder(separators=("," + nl, ": "), sort_keys=True).encode))
-    return _LEVELS[depth]
+_encode = JSONEncoder().encode
 
 
 def _scalar(x):
     encode = _SCALAR_ENCODERS.get(type(x))
-    return encode(x) if encode else _level(0)[1](x)
+    return (encode or _encode)(x)
 
 
 def _column(values, depth):
@@ -246,14 +239,15 @@ def _column(values, depth):
         return list(map(encode or _scalar, values))
     flat = chain.from_iterable
     if types <= {list, tuple} and (kinds := set(map(type, flat(values)))) <= _SCALAR_TYPES:
-        nl, _ = _level(depth)
-        inner, encode = _level(depth + 1)
+        nl = "\n" + "  " * depth
+        inner = nl + "  "
         size = sum(map(len, values))
         distinct = set(flat(values)) if kinds == {int} and size > 4 * len(values) else ()
         if 0 < 4 * len(distinct) < size:
             rendered = dict(zip(distinct, map(int.__repr__, distinct))).__getitem__
             items = [("," + inner).join(map(rendered, v)) for v in values]
         else:
+            encode = JSONEncoder(separators=("," + inner, ": ")).encode
             items = encode(values)[2:-2].split("]," + inner + "[")
         return ["[" + inner + text + nl + "]" if text else "[]" for text in items]
     if types == {dict} and values[0]:
@@ -265,8 +259,8 @@ def _column(values, depth):
 
 def _records(dicts, keys, depth):
     """Dicts that all have these sorted keys, rendered at ``depth``."""
-    nl, _ = _level(depth)
-    inner, _ = _level(depth + 1)
+    nl = "\n" + "  " * depth
+    inner = nl + "  "
     template = "{" + inner + ("," + inner).join(
         encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
     ) + nl + "}"
@@ -280,8 +274,8 @@ def _render(value, depth):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        nl, _ = _level(depth)
-        inner, _ = _level(depth + 1)
+        nl = "\n" + "  " * depth
+        inner = nl + "  "
         return "[" + inner + ("," + inner).join(_column(value, depth + 1)) + nl + "]"
     return _scalar(value)
 

@@ -122,6 +122,8 @@ class Perm:
         return isinstance(other, Perm) and self.image == other.image
 
     def __lt__(self, other):
+        if not isinstance(other, Perm):
+            return NotImplemented
         return self.image < other.image
 
     def __hash__(self):

@@ -11,6 +11,7 @@ on coefficients only.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -389,7 +390,7 @@ class PolyScalar:
         return bool(self._terms)
 
     def __repr__(self):
-        return f"PolyScalar.parse({str(self)!r})"
+        return f"parse({str(self)!r})"
 
     def __str__(self):
         if not self._terms:
@@ -505,39 +506,22 @@ def _product_size(x, y):
     return len(x.terms()) * len(y.terms()) * (_largest_term(x) + _largest_term(y))
 
 
-# ASCII only: str.isdigit() also accepts superscripts and other scripts' digits
-_DIGITS = set("0123456789")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CONT = _IDENT_START | _DIGITS | {"_"}
+# ASCII classes only: \d and \w also match other scripts' digits and letters.
+# In a str pattern \s, like str.lstrip(), takes exactly what str.isspace() accepts.
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
 
 
 def _tokenize(text):
     tokens = []
     pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _DIGITS:
-            start = pos
-            while pos < n and text[pos] in _DIGITS:
-                pos += 1
-            tokens.append(("int", text[start:pos], start))
-            continue
-        if ch in _IDENT_START:
-            start = pos
-            while pos < n and text[pos] in _IDENT_CONT:
-                pos += 1
-            tokens.append(("ident", text[start:pos], start))
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", n))
+    while match := _TOKEN.match(text, pos):
+        group = match.lastindex
+        tokens.append((match.lastgroup or match[group], match[group], match.start(group)))
+        pos = match.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

@@ -15,6 +15,7 @@ from permsym import (
     ExactMatrix,
     GaussRational,
     GroupError,
+    ParseError,
     Perm,
     PolyScalar,
     kron,
@@ -192,6 +193,45 @@ def dense_plan(pairs):
         index=tuple(index),
         checks=tuple(tuple((k, p) for k, p in pairs[i].items() if k < i) for i in range(n)),
     )
+
+
+# -- the expression lexer's character loop: the reference -------------------
+
+
+def reference_tokenize(text):
+    """``scalars._tokenize`` as a loop over the characters: the tokenizer that
+    the one compiled pattern replaced.  Whitespace is what ``str.isspace()``
+    accepts; digits and identifier characters are ASCII only."""
+    digits = set("0123456789")
+    ident_start = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    ident_cont = ident_start | digits | {"_"}
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch in digits:
+            start = pos
+            while pos < n and text[pos] in digits:
+                pos += 1
+            tokens.append(("int", text[start:pos], start))
+            continue
+        if ch in ident_start:
+            start = pos
+            while pos < n and text[pos] in ident_cont:
+                pos += 1
+            tokens.append(("ident", text[start:pos], start))
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, pos))
+            pos += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", pos)
+    tokens.append(("end", "", n))
+    return tokens
 
 
 class LookupCountingDict(dict):

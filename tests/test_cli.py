@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -32,6 +36,27 @@ def comparison_form(report):
     report = dict(report)
     report.pop("timing", None)
     return json.dumps(report, indent=2, sort_keys=True)
+
+
+class TestEntryPoint:
+    """``python -m permsym.cli`` in a subprocess, as users and the benchmark
+    launch it: ``main``'s return value becomes the exit status."""
+
+    @staticmethod
+    def run(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(permsym.cli.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", "permsym.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_report(self, capsys):
+        done = self.run("models", "--format", "json")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == run_cli(capsys, "models", "--format", "json")[1]
+
+    def test_parse_error(self):
+        done = self.run("find", "--model", "hubbard2", "--param", "U=1/0")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: division by zero (at position 1)\n"
 
 
 class TestFind:

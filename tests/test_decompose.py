@@ -5,6 +5,7 @@ from math import gcd, lcm
 import pytest
 
 from permsym import (
+    DimensionError,
     ExactMatrix,
     Perm,
     SubspaceBasis,
@@ -603,3 +604,17 @@ class TestImaginaryParts:
         assert m.is_hermitian()
         with pytest.raises(ValueError, match="non-real"):
             column_space_basis(m)
+
+
+class TestNonSquareInput:
+    def test_rejected(self):
+        h = ExactMatrix(2, 3, [1, 0, 0, 0, 1, 0])
+        basis = SubspaceBasis([[1, 0]])
+        for check in (lambda: is_invariant_subspace(h, basis), lambda: block_form(h, basis, basis),
+                      lambda: verify_eigenpair(h, 1, [1, 0])):
+            with pytest.raises(DimensionError, match="need a square matrix"):
+                check()
+
+    def test_basis_is_immutable(self):
+        with pytest.raises(AttributeError, match="SubspaceBasis is immutable"):
+            SubspaceBasis([[1, 0]])._n = 3

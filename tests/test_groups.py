@@ -55,6 +55,10 @@ class TestVerifyClosure:
             assert p * p == g.elements[0]
         assert is_commutative(g)
 
+    def test_immutable(self, hubbard_group):
+        with pytest.raises(AttributeError, match="SymmetryGroup is immutable"):
+            hubbard_group.order = 5
+
     def test_triple_spin_closed(self, triple_group):
         assert triple_group.order == 24
         assert not is_commutative(triple_group)

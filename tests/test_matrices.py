@@ -68,6 +68,37 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             m.rows = 3
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(DimensionError, match="at least one row"):
+            ExactMatrix.from_rows([])
+
+    def test_unhashable_entry_refused(self):
+        with pytest.raises(TypeError, match="cannot interpret list as a scalar"):
+            ExactMatrix(1, 1, [[1]])
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError, match=r"index \(2, 0\) out of range for 2x2"):
+            ExactMatrix.identity(2)[2, 0]
+
+    def test_repr(self):
+        assert repr(ExactMatrix.zeros(2, 3)) == "<ExactMatrix 2x3>"
+
+
+class TestOperands:
+    def test_shape_mismatch(self):
+        a, b = ExactMatrix.identity(2), ExactMatrix.identity(3)
+        with pytest.raises(DimensionError, match=r"shape mismatch: \(2, 2\) \+ \(3, 3\)"):
+            a + b
+        with pytest.raises(DimensionError, match=r"shape mismatch: \(2, 2\) - \(3, 3\)"):
+            a - b
+
+    def test_non_matrix_operands_refused(self):
+        m = ExactMatrix.identity(2)
+        for op in (lambda: m + 1, lambda: m - 1, lambda: m * m, lambda: m @ 1):
+            with pytest.raises(TypeError):
+                op()
+        assert (m == 1) is False
+
 
 class TestMatmul:
     def test_pauli_involution(self):

@@ -56,6 +56,13 @@ class TestBasics:
             assert p * p.inverse() == Perm.identity(6)
             assert p.inverse() * p == Perm.identity(6)
 
+    def test_non_perm_operands_refused(self):
+        with pytest.raises(TypeError):
+            Perm([0]) * 3
+        with pytest.raises(TypeError):
+            Perm([0]) < 3
+        assert Perm([0, 1]) < Perm([1, 0])
+
     def test_compose_length_mismatch(self):
         with pytest.raises(ValueError):
             Perm([0, 1]) * Perm([0, 1, 2])

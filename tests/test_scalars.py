@@ -1,3 +1,4 @@
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from permsym import GaussRational, ParseError, PolyScalar, param, parse, rational
-from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, Monomial
+import permsym
+from permsym import GaussRational, ParseError, Perm, PolyScalar, param, parse, rational
+from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, Monomial, _tokenize
 
-from helpers import oracle_add, rand_scalar
+from helpers import oracle_add, rand_scalar, reference_tokenize
 
 
 @pytest.fixture
@@ -278,6 +280,9 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse("(t+1")
         assert info.value.position == 4
+        with pytest.raises(ParseError, match="unexpected 'b'") as info:
+            parse("a b")
+        assert info.value.position == 2
 
     def test_nesting_bound(self):
         for depth in (MAX_NESTING, MAX_NESTING + 1):
@@ -376,3 +381,84 @@ class TestParse:
             x = rand_scalar(rng)
             y = parse(str(x))
             assert hash(x) == hash(y)
+
+
+# token characters; whitespace by str.isspace(), including the separators
+# \x1c-\x1f, \x85, NBSP and the ideographic space; NUL, ZWSP and BOM, which
+# it refuses; and other scripts' digits and letters, which the grammar refuses
+LEXER_ALPHABET = (
+    "0123456789aAzZi_+-*/^() "
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u3000"
+    "\x00\u200b\ufeff"
+    "\u0663\u00b2\U0001d7d8\u00e9\u0131\u0130\u212a\uff21."
+)
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+class TestTokenize:
+    @seed(6437)
+    @settings(max_examples=3000, deadline=None, database=None)
+    @given(st.text(st.sampled_from(LEXER_ALPHABET), max_size=12))
+    def test_matches_the_character_loop(self, text):
+        assert tokens_or_error(_tokenize, text) == tokens_or_error(reference_tokenize, text)
+
+    def test_tokens(self):
+        assert _tokenize("\u3000x_1 ^(22)\x85") == [
+            ("ident", "x_1", 1), ("^", "^", 5), ("(", "(", 6), ("int", "22", 7),
+            (")", ")", 9), ("end", "", 11),
+        ]
+
+
+class TestRepr:
+    @pytest.mark.parametrize("value", [
+        PolyScalar([(Monomial((("a", 2),)), GaussRational(Fraction(1, 2), 1)),
+                    (Monomial((("b", 1), ("t", 1))), GaussRational(0, -3)),
+                    (Monomial(), Fraction(7, 3))]),
+        Monomial((("a", 2), ("t", 1))),
+        GaussRational(Fraction(-3, 4), 2),
+        Perm([2, 0, 1]),
+    ], ids=repr)
+    def test_repr_evaluates_to_the_value(self, value):
+        assert eval(repr(value), {**vars(permsym), "Fraction": Fraction}) == value
+
+
+NON_NUMBERS = [None, 1.5, "1"]
+
+
+class TestOperands:
+    def test_reversed_operators(self):
+        g = GaussRational(1, 1)
+        assert 1 - g == GaussRational(0, -1)
+        assert 1 / g == GaussRational(Fraction(1, 2), Fraction(-1, 2))
+        assert 1 - parse("a") == parse("1-a")
+
+    @pytest.mark.parametrize("value", [GaussRational(1, 1), 2 * param("a")], ids=repr)
+    @pytest.mark.parametrize("bad", NON_NUMBERS)
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_a_non_number_is_refused(self, value, bad, op):
+        with pytest.raises(TypeError):
+            op(value, bad)
+        with pytest.raises(TypeError):
+            op(bad, value)
+
+    def test_inexact_coefficient_refused(self):
+        with pytest.raises(TypeError, match="cannot use float as a coefficient"):
+            PolyScalar([(Monomial(), 1.5)])
+
+    def test_constant_value_of_a_non_constant(self):
+        with pytest.raises(ValueError, match="not a constant: 2\\*a"):
+            parse("2*a").constant_value()
+
+    def test_empty_monomial_is_one(self):
+        assert str(Monomial()) == "1"
+
+    @pytest.mark.parametrize("value", [GaussRational(1, 1), Monomial(), param("a")], ids=repr)
+    def test_immutable(self, value):
+        with pytest.raises(AttributeError, match="is immutable"):
+            value.re = 2
