@@ -57,19 +57,12 @@ class MatrixFileError(ValueError):
     pass
 
 
-def _dimension(field):
-    """``field`` as an int if ``perms._index`` takes it, else None."""
-    try:
-        return _index(field)
-    except ValueError:
-        return None
-
-
 def _flag_int(text):
     """argparse type of the integer flags: an optional '-', then ASCII digits."""
-    value = _dimension(text.removeprefix("-"))
-    if value is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        value = _index(text.removeprefix("-"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     return -value if text.startswith("-") else value
 
 
@@ -88,10 +81,10 @@ def read_matrix_file(path):
     if not lines:
         raise MatrixFileError(f"{path}: empty matrix file")
     header_no, header = lines[0]
-    dims = [_dimension(f) for f in header.split()]
-    if len(dims) != 2 or None in dims:
-        raise MatrixFileError(f"{path}:{header_no}: header must be 'rows cols'")
-    rows, cols = dims
+    try:
+        rows, cols = map(_index, header.split())
+    except ValueError:
+        raise MatrixFileError(f"{path}:{header_no}: header must be 'rows cols'") from None
     if rows < 1 or cols < 1:
         raise MatrixFileError(f"{path}:{header_no}: dimensions must be positive")
     body = lines[1:]
@@ -148,26 +141,23 @@ def _load_input(args):
     return matrix, info, time.perf_counter() - start
 
 
-def _search_config(args):
-    mode = MODE_LEAF_CHECK if args.mode == "leaf" else MODE_PRUNED
-    return SearchConfig(
-        mode=mode,
-        max_results=args.max_results,
-        node_budget=args.node_budget,
-        count_only=getattr(args, "count_only", False),
-    )
-
-
 def _perm_records(perms):
     """One report record per permutation, holding its image tuple."""
     summaries = map(cycle_summary, (p.image for p in perms))
     return [{"image": p.image, "cycles": c, "order": o} for p, (c, o) in zip(perms, summaries)]
 
 
-def _run_search(matrix, args):
-    """Search, then re-verify every listed symmetry against ``matrix``:
-    (result, config, report's search dict, search seconds, re-verification seconds)."""
-    cfg = _search_config(args)
+def _searched(args):
+    """Load the input, search it and re-verify every listed symmetry against
+    it: (result, config, report), the report holding the command, the input,
+    the search and the timings so far."""
+    matrix, info, load = _load_input(args)
+    cfg = SearchConfig(
+        mode=MODE_LEAF_CHECK if args.mode == "leaf" else MODE_PRUNED,
+        max_results=args.max_results,
+        node_budget=args.node_budget,
+        count_only=getattr(args, "count_only", False),
+    )
     if args.jobs < 1:
         raise ValueError("jobs must be positive")
     if (cfg.mode == MODE_LEAF_CHECK and cfg.node_budget is None
@@ -186,17 +176,22 @@ def _run_search(matrix, args):
     verify = time.perf_counter() - start
     if bad is not None:
         raise AssertionError(f"internal error: emitted non-symmetry {bad}")
-    search_info = {
-        "mode": cfg.mode,
-        "jobs": 1,  # workers used: every search runs serially
-        "count_only": cfg.count_only,
-        "max_results": cfg.max_results,
-        "node_budget": cfg.node_budget,
-        "nodes_visited": result.nodes_visited,
-        "exhausted": result.exhausted,
-        "count": result.count,
+    report = {
+        "command": args.command,
+        "input": info,
+        "search": {
+            "mode": cfg.mode,
+            "jobs": 1,  # workers used: every search runs serially
+            "count_only": cfg.count_only,
+            "max_results": cfg.max_results,
+            "node_budget": cfg.node_budget,
+            "nodes_visited": result.nodes_visited,
+            "exhausted": result.exhausted,
+            "count": result.count,
+        },
+        "timing": {"wall_s": wall, "load_s": load, "verify_s": verify},
     }
-    return result, cfg, search_info, wall, verify
+    return result, cfg, report
 
 
 # -- JSON rendering --------------------------------------------------------
@@ -338,14 +333,7 @@ def _search_text(search):
 
 
 def cmd_find(args):
-    matrix, info, load = _load_input(args)
-    result, cfg, search_info, wall, verify = _run_search(matrix, args)
-    report = {
-        "command": "find",
-        "input": info,
-        "search": search_info,
-        "timing": {"wall_s": wall, "load_s": load, "verify_s": verify},
-    }
+    result, cfg, report = _searched(args)
     start = time.perf_counter()
     if not args.count_only:
         report["symmetries"] = _perm_records(result.perms)
@@ -381,8 +369,7 @@ def _group_text(report):
 
 
 def cmd_group(args):
-    matrix, info, load = _load_input(args)
-    result, _, search_info, wall, verify = _run_search(matrix, args)
+    result, _, report = _searched(args)
     if not result.exhausted:
         print("search stopped before exhausting the tree; group analysis needs "
               "the complete symmetry set", file=sys.stderr)
@@ -392,22 +379,15 @@ def cmd_group(args):
     # each element's cycles are walked once, for its record; the element
     # orders and the involution count are read off the records
     start = time.perf_counter()
-    records = _perm_records(group.elements)
-    records_s = time.perf_counter() - start
-    report = {
-        "command": "group",
-        "input": info,
-        "search": search_info,
-        "symmetries": records,
-        "group": {
-            "order": group.order,
-            "commutative": groups.is_commutative(group),
-            "element_orders": [[k, rec["order"]] for k, rec in enumerate(records)],
-            "involution_count": sum(rec["order"] == 2 for rec in records),
-            "conjugacy_classes": [list(c) for c in groups.conjugacy_classes(group)],
-            "generators": [p.image for p in gens],
-        },
-        "timing": {"wall_s": wall, "load_s": load, "verify_s": verify, "records_s": records_s},
+    report["symmetries"] = records = _perm_records(group.elements)
+    report["timing"]["records_s"] = time.perf_counter() - start
+    report["group"] = {
+        "order": group.order,
+        "commutative": groups.is_commutative(group),
+        "element_orders": [[k, rec["order"]] for k, rec in enumerate(records)],
+        "involution_count": sum(rec["order"] == 2 for rec in records),
+        "conjugacy_classes": [list(c) for c in groups.conjugacy_classes(group)],
+        "generators": [p.image for p in gens],
     }
     _emit(report, args, _group_text)
     return EXIT_OK

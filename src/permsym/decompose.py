@@ -24,7 +24,7 @@ from math import lcm
 from operator import index
 
 from .matrices import DimensionError, ExactMatrix, _set
-from .scalars import GaussRational, PolyScalar, _q, as_scalar, rational
+from .scalars import GaussRational, PolyScalar, _Frozen, _q, as_scalar, rational
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class ProjectorPair:
     pi2: ExactMatrix
 
 
-class SubspaceBasis:
+class SubspaceBasis(_Frozen):
     """Linearly independent primitive integer column vectors, stored as sparse
     rows (index to non-zero int) of one length ``n``; ``vectors`` and
     iteration build the dense tuples on each read, for a report."""
@@ -59,9 +59,6 @@ class SubspaceBasis:
         _set(basis, "_rows", rows)
         _set(basis, "_n", n if rows else 0)
         return basis
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubspaceBasis is immutable")
 
     @property
     def vectors(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .perms import Perm, _trusted
+from .scalars import _Frozen
 
 
 class GroupError(ValueError):
@@ -26,7 +27,7 @@ class GroupError(ValueError):
         self.witness = witness
 
 
-class SymmetryGroup:
+class SymmetryGroup(_Frozen):
     """A verified permutation group: ordered elements plus the generators that
     proved their closure.
 
@@ -43,9 +44,6 @@ class SymmetryGroup:
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "_index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetryGroup is immutable")
 
     @property
     def order(self):

@@ -29,7 +29,7 @@ the output rows made so far.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, PolyScalar, as_scalar
+from .scalars import ONE, ZERO, PolyScalar, _Frozen, as_scalar
 
 
 class DimensionError(ValueError):
@@ -39,7 +39,7 @@ class DimensionError(ValueError):
 _set = object.__setattr__
 
 
-class ExactMatrix:
+class ExactMatrix(_Frozen):
     __slots__ = ("rows", "cols", "_r")
 
     def __init__(self, rows, cols, entries):
@@ -79,9 +79,6 @@ class ExactMatrix:
         _set(m, "cols", cols)
         _set(m, "_r", row_dicts)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
 
     # -- constructors -------------------------------------------------
 

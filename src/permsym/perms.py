@@ -8,15 +8,16 @@ homomorphism: ``(p * q).to_matrix() == p.to_matrix() @ q.to_matrix()``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import lcm
 from operator import index
 
 from .matrices import ExactMatrix
-from .scalars import ONE
+from .scalars import ONE, _Frozen
 
 
-class Perm:
+@total_ordering
+class Perm(_Frozen):
     """A permutation of ``0..n-1`` by its image tuple.  ``_order`` keeps the
     order once a cycle walk has found it: the int only, not the cycle string,
     so that a large group's elements stay small."""
@@ -32,9 +33,6 @@ class Perm:
         if sorted(image) != list(range(len(image))):
             raise ValueError(f"not a permutation of 0..{len(image) - 1}: {image}")
         object.__setattr__(self, "image", image)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
 
     @classmethod
     def identity(cls, n):

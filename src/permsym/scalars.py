@@ -33,7 +33,16 @@ def _q(x):
     raise TypeError(f"cannot use {type(x).__name__} as a rational part")
 
 
-class GaussRational:
+class _Frozen:
+    """Base of the immutable value classes: only their own slot setters write."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussRational(_Frozen):
     """Complex number with exact rational real and imaginary parts.
 
     Each part is an int when integral, else a Fraction, so integral arithmetic
@@ -45,9 +54,6 @@ class GaussRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _q(re))
         object.__setattr__(self, "im", _q(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRational is immutable")
 
     @staticmethod
     def _coerce(x):
@@ -147,7 +153,7 @@ def _imag_str(q):
     return f"{q}*i"
 
 
-class Monomial:
+class Monomial(_Frozen):
     """Product of parameter powers, e.g. ``t^2*U``; the empty product is 1.
 
     Factors are stored as a tuple of (name, exponent) pairs with names
@@ -165,9 +171,6 @@ class Monomial:
             raise ValueError("monomial exponents must be >= 1")
         object.__setattr__(self, "factors", factors)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
     @classmethod
     def variable(cls, name, exponent=1):
         return cls(((name, exponent),))
@@ -177,6 +180,8 @@ class Monomial:
         return sum(e for _, e in self.factors)
 
     def __mul__(self, other):
+        if not isinstance(other, Monomial):
+            return NotImplemented
         merged = dict(self.factors)
         for name, e in other.factors:
             merged[name] = merged.get(name, 0) + e
@@ -200,7 +205,7 @@ class Monomial:
 _ONE_MONO = Monomial()
 
 
-class PolyScalar:
+class PolyScalar(_Frozen):
     """Canonical multivariate polynomial with GaussRational coefficients.
 
     Values are immutable; two PolyScalars compare equal exactly when they
@@ -229,9 +234,6 @@ class PolyScalar:
         )
         object.__setattr__(self, "_terms", ordered)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyScalar is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -352,6 +354,12 @@ class PolyScalar:
             raise ZeroDivisionError("division by zero")
         inv = GaussRational(1) / value
         return PolyScalar(tuple((m, c * inv) for m, c in self._terms))
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def conjugate(self):
         """Complex-conjugate every coefficient; parameters are real symbols."""

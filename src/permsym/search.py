@@ -70,7 +70,7 @@ inner one, at C level, over a block of elements.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
@@ -96,10 +96,12 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in (MODE_LEAF_CHECK, MODE_PRUNED):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_results is not None and self.max_results < 1:
-            raise ValueError("max_results must be positive")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError("node_budget must be positive")
+        for name in ("max_results", "node_budget"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer")
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -238,20 +240,12 @@ def _refine(pairs):
     return cell
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """What the pruned search precomputes once per matrix.
-
-    ``levels[i]`` is ``None`` when level ``i`` draws from ``cells[i]``, the
-    ascending members of its cell, and ``(anchor, key)`` when it draws from
-    ``index[j[anchor]][key]``: the ascending ``v`` with ``key`` = (colour of
-    ``H[j[anchor], v]``, ``cell[v]``).  ``checks[i]``: ``i``'s pairs at ``k < i``.
-    """
-
-    cells: tuple
-    levels: tuple
-    index: tuple
-    checks: tuple
+# What the pruned search precomputes once per matrix.  ``levels[i]`` is
+# ``None`` when level ``i`` draws from ``cells[i]``, the ascending members of
+# its cell, and ``(anchor, key)`` when it draws from ``index[j[anchor]][key]``:
+# the ascending ``v`` with ``key`` = (colour of ``H[j[anchor], v]``,
+# ``cell[v]``).  ``checks[i]``: ``i``'s pairs at ``k < i``.
+_Plan = namedtuple("_Plan", "cells levels index checks")
 
 
 def _plan(pairs):

@@ -320,8 +320,9 @@ class TestMatrixFiles:
 
     def test_bad_header(self, capsys, tmp_path):
         # str.isdigit() accepts '\u00b2' and '\u0662', and int() converts the
-        # second; 5000 digits are more than int() converts
-        for header in ("two two", "2\u00b2 2", "\u0662 2", "9" * 5000 + " 2"):
+        # second and '+2'; 5000 digits are more than int() converts
+        headers = ("two two", "2\u00b2 2", "\u0662 2", "9" * 5000 + " 2", "2", "2 2 2", "+2 2")
+        for header in headers:
             path = self.write(tmp_path, f"{header}\n0 t\nt 0\n")
             code, out, err = run_cli(capsys, "find", "--input", path)
             assert (code, out) == (2, "")

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import operator
 import pickle
 import random
 
@@ -62,6 +63,14 @@ class TestBasics:
         with pytest.raises(TypeError):
             Perm([0]) < 3
         assert Perm([0, 1]) < Perm([1, 0])
+
+    def test_perms_are_totally_ordered(self):
+        a, b = Perm([0, 1]), Perm([1, 0])
+        assert a <= b and a <= a and b > a and b >= a and b >= b
+        assert not (a > b or a >= b or b <= a or a > a)
+        for op in (operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(Perm([0]), 3)
 
     def test_compose_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,18 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import permsym
-from permsym import GaussRational, ParseError, Perm, PolyScalar, param, parse, rational
+from permsym import (
+    ExactMatrix,
+    GaussRational,
+    ParseError,
+    Perm,
+    PolyScalar,
+    SubspaceBasis,
+    param,
+    parse,
+    rational,
+    verify_closure,
+)
 from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, Monomial, _tokenize
 
 from helpers import oracle_add, rand_scalar, reference_tokenize
@@ -150,6 +161,11 @@ class TestMonomial:
         m = Monomial.variable("t") * Monomial.variable("t") * Monomial.variable("a")
         assert m.factors == (("a", 1), ("t", 2))
         assert m.degree == 3
+
+    @pytest.mark.parametrize("bad", [2, GaussRational(2), parse("a")], ids=repr)
+    def test_product_with_a_non_monomial_is_refused(self, bad):
+        with pytest.raises(TypeError):
+            Monomial.variable("a") * bad
 
 
 class TestArithmetic:
@@ -438,6 +454,18 @@ class TestOperands:
         assert 1 / g == GaussRational(Fraction(1, 2), Fraction(-1, 2))
         assert 1 - parse("a") == parse("1-a")
 
+    def test_a_number_over_a_polynomial(self):
+        assert 1 / parse("2") == parse("1/2")
+        assert Fraction(1, 3) / parse("-2") == parse("-1/6")
+        assert GaussRational(0, 1) / parse("2") == parse("i/2")
+        with pytest.raises(ValueError) as by_poly:
+            parse("1") / parse("a")
+        with pytest.raises(ValueError) as by_int:
+            1 / parse("a")
+        assert str(by_int.value) == str(by_poly.value) == "division by a non-constant: a"
+        with pytest.raises(ZeroDivisionError):
+            1 / parse("0")
+
     @pytest.mark.parametrize("value", [GaussRational(1, 1), 2 * param("a")], ids=repr)
     @pytest.mark.parametrize("bad", NON_NUMBERS)
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
@@ -462,3 +490,25 @@ class TestOperands:
     def test_immutable(self, value):
         with pytest.raises(AttributeError, match="is immutable"):
             value.re = 2
+
+
+VALUES = [
+    GaussRational(1, 1),
+    Monomial.variable("a"),
+    param("a"),
+    ExactMatrix.from_rows([[1]]),
+    Perm([1, 0]),
+    SubspaceBasis([[1, 0]]),
+    verify_closure([Perm([0, 1]), Perm([1, 0])]),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+def test_every_value_class_is_immutable(value, existing):
+    cls = type(value)
+    name = cls.__slots__[0] if existing else "extra"
+    before = getattr(value, name, None)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        setattr(value, name, 1)
+    assert getattr(value, name, None) is before

@@ -299,6 +299,14 @@ class TestBudgets:
         with pytest.raises(ValueError):
             SearchConfig(node_budget=-1)
 
+    @pytest.mark.parametrize("name", ["max_results", "node_budget"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2"], ids=repr)
+    def test_budgets_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            SearchConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+            SearchConfig(**{name: 0})
+
 
 class TestListingBound:
     """A listing holds at most _LIST_MAX image entries, whichever path lists."""
