@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import cache
 from itertools import chain
 from json.encoder import JSONEncoder, encode_basestring_ascii
 from operator import itemgetter
@@ -535,9 +536,11 @@ def build_parser():
     return parser
 
 
+_main_parser = cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, MatrixFileError) as exc:

@@ -113,9 +113,6 @@ class Perm(_Frozen):
             raise ValueError("not a permutation matrix")
         return cls(next(iter(row)) for row in m._r)
 
-    def __reduce__(self):
-        return (Perm, (self.image,))
-
     def __eq__(self, other):
         return isinstance(other, Perm) and self.image == other.image
 

@@ -1,18 +1,23 @@
 """Exact scalars: multivariate polynomials in real parameters over the Gaussian rationals.
 
 Every matrix entry in this package is a :class:`PolyScalar`.  Coefficients are
-Gaussian rationals (complex numbers with exact rational parts, each an ``int``
-when integral and a ``fractions.Fraction`` otherwise; inexact parts such as
-floats are refused), kept in a canonical sparse form so equality of values is
-decidable by plain ``==``.
-Parameters are symbols standing for real numbers, so complex conjugation acts
-on coefficients only.
+Gaussian rationals: complex numbers with exact rational parts, each an ``int``
+when integral and a ``fractions.Fraction`` otherwise, kept in a canonical
+sparse form so equality of values is decidable by plain ``==``.  Parameters
+are symbols standing for real numbers, so complex conjugation acts on
+coefficients only.
+
+The operand rule, decided by each class's ``_coerce`` alone: ``+ - * / ==``
+on a GaussRational take ints, Fractions and GaussRationals; on a PolyScalar
+also PolyScalars, and give a PolyScalar.  Any other operand, a float or a str
+too, gives NotImplemented, so Python raises TypeError and ``==`` is False.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 from math import comb
 
 
@@ -34,20 +39,52 @@ def _q(x):
 
 
 class _Frozen:
-    """Base of the immutable value classes: only their own slot setters write."""
+    """Base of the immutable value classes: only slot setters write, copies included."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
-class GaussRational(_Frozen):
-    """Complex number with exact rational real and imaginary parts.
 
-    Each part is an int when integral, else a Fraction, so integral arithmetic
-    builds no Fraction.  Parts other than ints and Fractions are refused.
-    """
+def _operands(method):
+    """Call ``method`` on ``self._coerce(other)``; a refused operand gives NotImplemented."""
+
+    @wraps(method)
+    def binary(self, other):
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return method(self, other)
+
+    return binary
+
+
+class _Scalar(_Frozen):
+    """Both scalar classes' ``a - b``, ``x - a`` and ``x / a``, from ``+``, ``-a`` and ``/``."""
+
+    __slots__ = ()
+
+    @_operands
+    def __sub__(self, other):
+        return self + -other
+
+    @_operands
+    def __rsub__(self, other):
+        return other + -self
+
+    @_operands
+    def __rtruediv__(self, other):
+        return other / self
+
+
+class GaussRational(_Scalar):
+    """Complex number with exact parts, each an int when integral, else a Fraction."""
 
     __slots__ = ("re", "im")
 
@@ -61,32 +98,16 @@ class GaussRational(_Frozen):
             return x
         if isinstance(x, (int, Fraction)):
             return GaussRational(x)
-        return None
+        raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
 
+    @_operands
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
+    @_operands
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return GaussRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -94,10 +115,8 @@ class GaussRational(_Frozen):
 
     __rmul__ = __mul__
 
+    @_operands
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         d = Fraction(other.re * other.re + other.im * other.im)
         if d == 0:
             raise ZeroDivisionError("division by zero")
@@ -105,12 +124,6 @@ class GaussRational(_Frozen):
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __neg__(self):
         return GaussRational(-self.re, -self.im)
@@ -121,10 +134,8 @@ class GaussRational(_Frozen):
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
+    @_operands
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -205,7 +216,7 @@ class Monomial(_Frozen):
 _ONE_MONO = Monomial()
 
 
-class PolyScalar(_Frozen):
+class PolyScalar(_Scalar):
     """Canonical multivariate polynomial with GaussRational coefficients.
 
     Values are immutable; two PolyScalars compare equal exactly when they
@@ -221,7 +232,7 @@ class PolyScalar(_Frozen):
             terms = terms.items()
         collected = {}
         for mono, coeff in terms:
-            coeff = _gauss(coeff)
+            coeff = GaussRational._coerce(coeff)
             if coeff:
                 acc = collected.get(mono)
                 acc = coeff if acc is None else acc + coeff
@@ -239,7 +250,7 @@ class PolyScalar(_Frozen):
 
     @classmethod
     def constant(cls, value):
-        return cls(((_ONE_MONO, _gauss(value)),))
+        return cls(((_ONE_MONO, value),))
 
     @classmethod
     def variable(cls, name):
@@ -283,12 +294,10 @@ class PolyScalar(_Frozen):
             return x
         if isinstance(x, (int, Fraction, GaussRational)):
             return PolyScalar.constant(x)
-        return None
+        raise TypeError(f"cannot interpret {type(x).__name__} as a scalar")
 
+    @_operands
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if not other._terms:
             return self
         if not self._terms:
@@ -297,25 +306,11 @@ class PolyScalar(_Frozen):
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         return PolyScalar(tuple((m, -c) for m, c in self._terms))
 
+    @_operands
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if not self._terms or not other._terms:
             return ZERO
         out = {}
@@ -342,11 +337,9 @@ class PolyScalar(_Frozen):
                 base = base * base
         return result
 
+    @_operands
     def __truediv__(self, other):
         """Exact division by a nonzero constant."""
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if not other.is_constant():
             raise ValueError(f"division by a non-constant: {other}")
         value = other.constant_value()
@@ -354,12 +347,6 @@ class PolyScalar(_Frozen):
             raise ZeroDivisionError("division by zero")
         inv = GaussRational(1) / value
         return PolyScalar(tuple((m, c * inv) for m, c in self._terms))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def conjugate(self):
         """Complex-conjugate every coefficient; parameters are real symbols."""
@@ -380,10 +367,8 @@ class PolyScalar(_Frozen):
 
     # -- equality and rendering ---------------------------------------
 
+    @_operands
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
@@ -393,6 +378,10 @@ class PolyScalar(_Frozen):
             h = hash(self.constant_value() if self.is_constant() else self._terms)
             object.__setattr__(self, "_hash", h)
         return h
+
+    def __getstate__(self):
+        # the cached hash comes from str hashes, which differ between processes
+        return None, {"_terms": self._terms, "_hash": None}
 
     def __bool__(self):
         return bool(self._terms)
@@ -428,23 +417,9 @@ def _term_str(mono, coeff):
     return f"{_imag_str(coeff.im)}*{mono}"
 
 
-def _gauss(value):
-    if isinstance(value, GaussRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussRational(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
-
-
 def as_scalar(x):
     """Coerce ints, Fractions, GaussRationals, strings and PolyScalars."""
-    if isinstance(x, PolyScalar):
-        return x
-    if isinstance(x, (int, Fraction, GaussRational)):
-        return PolyScalar.constant(x)
-    if isinstance(x, str):
-        return parse(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a scalar")
+    return parse(x) if isinstance(x, str) else PolyScalar._coerce(x)
 
 
 ZERO = PolyScalar()

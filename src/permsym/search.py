@@ -98,7 +98,7 @@ class SearchConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("max_results", "node_budget"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, int):
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
                 raise ValueError(f"{name} must be an integer")
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -57,6 +58,28 @@ class TestEntryPoint:
         done = self.run("find", "--model", "hubbard2", "--param", "U=1/0")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: division by zero (at position 1)\n"
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        assert run_cli(capsys, "models")[0] == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kw: built.append(kw) or init(self, *args, **kw))
+        assert run_cli(capsys, "models", "--format", "json")[0] == 0
+        assert built == []
+        assert permsym.cli.build_parser() is not permsym.cli.build_parser() and built
+
+    def test_a_usage_error_after_a_request_prints_the_usage(self, capsys):
+        assert run_cli(capsys, "models")[0] == 0
+        errs = []
+        for parse_args in (main, permsym.cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["find", "--model", "ising4", "--jobs"])
+            assert exc.value.code == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("usage: permsym find ")
+        assert errs[0].endswith("error: argument --jobs: expected one argument\n")
 
 
 class TestFind:

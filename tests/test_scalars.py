@@ -1,10 +1,16 @@
+import copy
 import operator
+import os
+import pickle
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import permsym
@@ -15,6 +21,8 @@ from permsym import (
     Perm,
     PolyScalar,
     SubspaceBasis,
+    SymmetryGroup,
+    as_scalar,
     param,
     parse,
     rational,
@@ -445,6 +453,109 @@ class TestRepr:
 
 
 NON_NUMBERS = [None, 1.5, "1"]
+OPERATORS = {operator.add: "+", operator.sub: "-", operator.mul: "*", operator.truediv: "/"}
+
+
+# Python 3.11's TypeError text for each refused operand, recorded from the scalars
+# before their coercion was written once: (left type, operator, right type) -> text.
+REFUSALS = {
+    ("GaussRational", "+", "NoneType"):
+        "unsupported operand type(s) for +: 'GaussRational' and 'NoneType'",
+    ("NoneType", "+", "GaussRational"):
+        "unsupported operand type(s) for +: 'NoneType' and 'GaussRational'",
+    ("GaussRational", "-", "NoneType"):
+        "unsupported operand type(s) for -: 'GaussRational' and 'NoneType'",
+    ("NoneType", "-", "GaussRational"):
+        "unsupported operand type(s) for -: 'NoneType' and 'GaussRational'",
+    ("GaussRational", "*", "NoneType"):
+        "unsupported operand type(s) for *: 'GaussRational' and 'NoneType'",
+    ("NoneType", "*", "GaussRational"):
+        "unsupported operand type(s) for *: 'NoneType' and 'GaussRational'",
+    ("GaussRational", "/", "NoneType"):
+        "unsupported operand type(s) for /: 'GaussRational' and 'NoneType'",
+    ("NoneType", "/", "GaussRational"):
+        "unsupported operand type(s) for /: 'NoneType' and 'GaussRational'",
+    ("GaussRational", "+", "float"):
+        "unsupported operand type(s) for +: 'GaussRational' and 'float'",
+    ("float", "+", "GaussRational"):
+        "unsupported operand type(s) for +: 'float' and 'GaussRational'",
+    ("GaussRational", "-", "float"):
+        "unsupported operand type(s) for -: 'GaussRational' and 'float'",
+    ("float", "-", "GaussRational"):
+        "unsupported operand type(s) for -: 'float' and 'GaussRational'",
+    ("GaussRational", "*", "float"):
+        "unsupported operand type(s) for *: 'GaussRational' and 'float'",
+    ("float", "*", "GaussRational"):
+        "unsupported operand type(s) for *: 'float' and 'GaussRational'",
+    ("GaussRational", "/", "float"):
+        "unsupported operand type(s) for /: 'GaussRational' and 'float'",
+    ("float", "/", "GaussRational"):
+        "unsupported operand type(s) for /: 'float' and 'GaussRational'",
+    ("GaussRational", "+", "str"):
+        "unsupported operand type(s) for +: 'GaussRational' and 'str'",
+    ("str", "+", "GaussRational"):
+        'can only concatenate str (not "GaussRational") to str',
+    ("GaussRational", "-", "str"):
+        "unsupported operand type(s) for -: 'GaussRational' and 'str'",
+    ("str", "-", "GaussRational"):
+        "unsupported operand type(s) for -: 'str' and 'GaussRational'",
+    ("GaussRational", "*", "str"):
+        "can't multiply sequence by non-int of type 'GaussRational'",
+    ("str", "*", "GaussRational"):
+        "can't multiply sequence by non-int of type 'GaussRational'",
+    ("GaussRational", "/", "str"):
+        "unsupported operand type(s) for /: 'GaussRational' and 'str'",
+    ("str", "/", "GaussRational"):
+        "unsupported operand type(s) for /: 'str' and 'GaussRational'",
+    ("PolyScalar", "+", "NoneType"):
+        "unsupported operand type(s) for +: 'PolyScalar' and 'NoneType'",
+    ("NoneType", "+", "PolyScalar"):
+        "unsupported operand type(s) for +: 'NoneType' and 'PolyScalar'",
+    ("PolyScalar", "-", "NoneType"):
+        "unsupported operand type(s) for -: 'PolyScalar' and 'NoneType'",
+    ("NoneType", "-", "PolyScalar"):
+        "unsupported operand type(s) for -: 'NoneType' and 'PolyScalar'",
+    ("PolyScalar", "*", "NoneType"):
+        "unsupported operand type(s) for *: 'PolyScalar' and 'NoneType'",
+    ("NoneType", "*", "PolyScalar"):
+        "unsupported operand type(s) for *: 'NoneType' and 'PolyScalar'",
+    ("PolyScalar", "/", "NoneType"):
+        "unsupported operand type(s) for /: 'PolyScalar' and 'NoneType'",
+    ("NoneType", "/", "PolyScalar"):
+        "unsupported operand type(s) for /: 'NoneType' and 'PolyScalar'",
+    ("PolyScalar", "+", "float"):
+        "unsupported operand type(s) for +: 'PolyScalar' and 'float'",
+    ("float", "+", "PolyScalar"):
+        "unsupported operand type(s) for +: 'float' and 'PolyScalar'",
+    ("PolyScalar", "-", "float"):
+        "unsupported operand type(s) for -: 'PolyScalar' and 'float'",
+    ("float", "-", "PolyScalar"):
+        "unsupported operand type(s) for -: 'float' and 'PolyScalar'",
+    ("PolyScalar", "*", "float"):
+        "unsupported operand type(s) for *: 'PolyScalar' and 'float'",
+    ("float", "*", "PolyScalar"):
+        "unsupported operand type(s) for *: 'float' and 'PolyScalar'",
+    ("PolyScalar", "/", "float"):
+        "unsupported operand type(s) for /: 'PolyScalar' and 'float'",
+    ("float", "/", "PolyScalar"):
+        "unsupported operand type(s) for /: 'float' and 'PolyScalar'",
+    ("PolyScalar", "+", "str"):
+        "unsupported operand type(s) for +: 'PolyScalar' and 'str'",
+    ("str", "+", "PolyScalar"):
+        'can only concatenate str (not "PolyScalar") to str',
+    ("PolyScalar", "-", "str"):
+        "unsupported operand type(s) for -: 'PolyScalar' and 'str'",
+    ("str", "-", "PolyScalar"):
+        "unsupported operand type(s) for -: 'str' and 'PolyScalar'",
+    ("PolyScalar", "*", "str"):
+        "can't multiply sequence by non-int of type 'PolyScalar'",
+    ("str", "*", "PolyScalar"):
+        "can't multiply sequence by non-int of type 'PolyScalar'",
+    ("PolyScalar", "/", "str"):
+        "unsupported operand type(s) for /: 'PolyScalar' and 'str'",
+    ("str", "/", "PolyScalar"):
+        "unsupported operand type(s) for /: 'str' and 'PolyScalar'",
+}
 
 
 class TestOperands:
@@ -468,16 +579,35 @@ class TestOperands:
 
     @pytest.mark.parametrize("value", [GaussRational(1, 1), 2 * param("a")], ids=repr)
     @pytest.mark.parametrize("bad", NON_NUMBERS)
-    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    @pytest.mark.parametrize("op", list(OPERATORS))
     def test_a_non_number_is_refused(self, value, bad, op):
-        with pytest.raises(TypeError):
-            op(value, bad)
-        with pytest.raises(TypeError):
-            op(bad, value)
+        for left, right in ((value, bad), (bad, value)):
+            with pytest.raises(TypeError) as refused:
+                op(left, right)
+            key = type(left).__name__, OPERATORS[op], type(right).__name__
+            assert str(refused.value) == REFUSALS[key]
+
+    @seed(1733)
+    @SCALAR_SETTINGS
+    @given(scalars(), scalars())
+    def test_mixed_operands_meet_as_polynomials(self, a, b):
+        exact = (GaussRational, PolyScalar)
+        assume(isinstance(a, exact) or isinstance(b, exact))
+        poly = isinstance(a, PolyScalar) or isinstance(b, PolyScalar)
+        for op in OPERATORS:
+            if op is operator.truediv and not (as_scalar(b).is_constant() and b != 0):
+                continue
+            result = op(a, b)
+            assert result == op(as_scalar(a), as_scalar(b))
+            assert type(result) is (PolyScalar if poly else GaussRational)
 
     def test_inexact_coefficient_refused(self):
-        with pytest.raises(TypeError, match="cannot use float as a coefficient"):
+        with pytest.raises(TypeError, match="^cannot use float as a coefficient$"):
             PolyScalar([(Monomial(), 1.5)])
+        with pytest.raises(TypeError, match="^cannot use float as a coefficient$"):
+            PolyScalar.constant(1.5)
+        with pytest.raises(TypeError, match="^cannot interpret float as a scalar$"):
+            as_scalar(1.5)
 
     def test_constant_value_of_a_non_constant(self):
         with pytest.raises(ValueError, match="not a constant: 2\\*a"):
@@ -512,3 +642,34 @@ def test_every_value_class_is_immutable(value, existing):
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
         setattr(value, name, 1)
     assert getattr(value, name, None) is before
+
+
+def pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, pickled],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_every_value_class_copies_and_pickles(value, duplicate):
+    twin = duplicate(value)
+    assert type(twin) is type(value)
+    if isinstance(value, SymmetryGroup):  # compared by identity
+        assert (twin.elements, twin.generators) == (value.elements, value.generators)
+    else:
+        assert twin == value and hash(twin) == hash(value)
+
+
+def test_a_pickled_polynomial_hashes_as_the_loading_process_does():
+    # a parametric polynomial's hash comes from str hashes, which depend on the
+    # process's hash seed, so the hash cached before pickling must not travel
+    value = parse("2*a + b^2 - i")
+    hash(value)
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    script = ("import pickle, sys; from permsym import parse; "
+              "print({parse('2*a + b^2 - i'): 'found'}.get(pickle.load(sys.stdin.buffer)))")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": str(Path(permsym.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(value), env=env,
+                          capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"found\n", b"")

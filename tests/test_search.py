@@ -300,7 +300,7 @@ class TestBudgets:
             SearchConfig(node_budget=-1)
 
     @pytest.mark.parametrize("name", ["max_results", "node_budget"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, "2"], ids=repr)
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True, False], ids=repr)
     def test_budgets_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
             SearchConfig(**{name: value})
