@@ -7,26 +7,8 @@ splits the underlying space into invariant subspaces via the projectors
 (I +/- P)/2 attached to involutive symmetries.
 """
 
-from .decompose import (
-    ProjectorPair,
-    SubspaceBasis,
-    block_form,
-    column_space_basis,
-    is_invariant_subspace,
-    projectors_from_involution,
-    verify_eigenpair,
-)
-from .groups import (
-    GroupError,
-    SymmetryGroup,
-    conjugacy_classes,
-    element_orders,
-    generate_from,
-    generating_set,
-    involutions,
-    is_commutative,
-    verify_closure,
-)
+from importlib import import_module
+
 from .matrices import DimensionError, ExactMatrix, direct_sum, kron, star2
 from .models import ModelError, ModelSpec, build, list_models, sigma, sigma_at
 from .perms import Perm, induced_site_perm
@@ -50,6 +32,26 @@ from .search import (
 )
 
 __version__ = "0.1.0"
+
+# The group and decompose layers load on first access (PEP 562), so a CLI
+# command that needs neither does not import them.
+_LAZY = {name: module for module, names in [
+    ("decompose", "ProjectorPair SubspaceBasis block_form column_space_basis"
+                  " is_invariant_subspace projectors_from_involution verify_eigenpair"),
+    ("groups", "GroupError SymmetryGroup conjugacy_classes element_orders generate_from"
+               " generating_set involutions is_commutative verify_closure"),
+] for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "DimensionError",

@@ -23,8 +23,6 @@ from itertools import chain
 from json.encoder import JSONEncoder, encode_basestring_ascii
 from operator import itemgetter
 
-from . import groups
-from .decompose import block_form, column_space_basis, projectors_from_involution
 from .matrices import ExactMatrix
 from .models import CATALOG, ModelError, build, list_models
 from .perms import Perm, _index, cycle_summary
@@ -223,8 +221,7 @@ _encode = JSONEncoder().encode
 
 
 def _scalar(x):
-    encode = _SCALAR_ENCODERS.get(type(x))
-    return (encode or _encode)(x)
+    return _SCALAR_ENCODERS.get(type(x), _encode)(x)
 
 
 def _column(values, depth):
@@ -370,6 +367,7 @@ def _group_text(report):
 
 
 def cmd_group(args):
+    from . import groups
     result, _, report = _searched(args)
     if not result.exhausted:
         print("search stopped before exhausting the tree; group analysis needs "
@@ -411,6 +409,7 @@ def _decompose_text(report):
 
 
 def cmd_decompose(args):
+    from .decompose import block_form, column_space_basis, projectors_from_involution
     matrix, info, load = _load_input(args)
     perm = Perm.parse(args.perm)
     if len(perm) != matrix.rows:

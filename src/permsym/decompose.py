@@ -16,21 +16,21 @@ Gaussian-rational entry goes in as its real and imaginary parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from math import lcm
 from operator import index
 
-from .matrices import DimensionError, ExactMatrix, _set
-from .scalars import GaussRational, PolyScalar, _Frozen, _q, as_scalar, rational
+from .matrices import DimensionError, ExactMatrix
+from .scalars import GaussRational, PolyScalar, _Frozen, _q, _Record, as_scalar, rational
 
 
-@dataclass(frozen=True)
-class ProjectorPair:
-    pi1: ExactMatrix
-    pi2: ExactMatrix
+class ProjectorPair(_Record):
+    __slots__ = ("pi1", "pi2")
+
+    def __init__(self, pi1, pi2):
+        self._fill(pi1=pi1, pi2=pi2)
 
 
 class SubspaceBasis(_Frozen):
@@ -49,15 +49,13 @@ class SubspaceBasis(_Frozen):
         # _rref edits its rows in place, so it gets copies
         if len(_rref(list(map(dict, rows)), n)) != len(rows):
             raise ValueError("basis vectors are linearly dependent")
-        _set(self, "_rows", rows)
-        _set(self, "_n", n)
+        self._fill(_rows=rows, _n=n)
 
     @classmethod
     def _trusted(cls, n, rows):
         """Wrap a tuple of independent sparse integer rows of length n, unchecked."""
         basis = object.__new__(cls)
-        _set(basis, "_rows", rows)
-        _set(basis, "_n", n if rows else 0)
+        basis._fill(_rows=rows, _n=n if rows else 0)
         return basis
 
     @property
@@ -93,8 +91,7 @@ def projectors_from_involution(p):
     """Exact (I+P)/2 and (I-P)/2 for a permutation with p*p = identity."""
     if p.order() > 2:
         raise ValueError(f"not an involution: {p} has order {p.order()}")
-    n = len(p)
-    ident = ExactMatrix.identity(n)
+    ident = ExactMatrix.identity(len(p))
     pm = p.to_matrix()
     half = rational(1, 2)
     return ProjectorPair(pi1=(ident + pm) * half, pi2=(ident - pm) * half)

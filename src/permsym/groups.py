@@ -41,9 +41,7 @@ class SymmetryGroup(_Frozen):
     __slots__ = ("elements", "generators", "_index")
 
     def __init__(self, elements, generators, index):
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "_index", index)
+        self._fill(elements=tuple(elements), generators=tuple(generators), _index=index)
 
     @property
     def order(self):

@@ -29,14 +29,13 @@ the output rows made so far.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .scalars import ONE, ZERO, PolyScalar, _Frozen, as_scalar
 
 
 class DimensionError(ValueError):
     pass
-
-
-_set = object.__setattr__
 
 
 class ExactMatrix(_Frozen):
@@ -64,9 +63,7 @@ class ExactMatrix(_Frozen):
             raise DimensionError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "_r", tuple(
+        self._fill(rows=rows, cols=cols, _r=tuple(
             {c: x for c, x in enumerate(entries[r * cols : (r + 1) * cols]) if x is not ZERO}
             for r in range(rows)
         ))
@@ -75,9 +72,7 @@ class ExactMatrix(_Frozen):
     def _trusted(cls, rows, cols, row_dicts):
         """Wrap a tuple of row dicts of non-zero PolyScalars, unchecked."""
         m = object.__new__(cls)
-        _set(m, "rows", rows)
-        _set(m, "cols", cols)
-        _set(m, "_r", row_dicts)
+        m._fill(rows=rows, cols=cols, _r=row_dicts)
         return m
 
     # -- constructors -------------------------------------------------
@@ -112,10 +107,7 @@ class ExactMatrix(_Frozen):
 
     def row(self, r):
         """Row ``r`` as a tuple; every zero is ``ZERO``."""
-        out = [ZERO] * self.cols
-        for c, x in self._r[r].items():
-            out[c] = x
-        return tuple(out)
+        return tuple(map(self._r[r].get, range(self.cols), repeat(ZERO)))
 
     def entries(self):
         """All entries, row-major; every zero is ``ZERO``."""

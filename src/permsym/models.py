@@ -8,10 +8,8 @@ Unbound parameters stay symbolic; bindings may be any exact scalar
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matrices import ExactMatrix, kron
-from .scalars import ONE, ZERO, GaussRational, PolyScalar, as_scalar, param
+from .scalars import ONE, ZERO, GaussRational, PolyScalar, _Record, as_scalar, param
 
 
 class ModelError(ValueError):
@@ -48,13 +46,12 @@ def sigma_at(k, j, n):
     ))
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    name: str
-    dimension: int
-    parameters: tuple
-    description: str
-    builder: object
+class ModelSpec(_Record):
+    __slots__ = ("name", "dimension", "parameters", "description", "builder")
+
+    def __init__(self, name, dimension, parameters, description, builder):
+        self._fill(name=name, dimension=dimension, parameters=parameters,
+                   description=description, builder=builder)
 
     def parameter_names(self):
         return [name for name, _ in self.parameters]

@@ -63,10 +63,8 @@ class Perm(_Frozen):
         return _trusted(tuple([b[j] for j in a]))
 
     def inverse(self):
-        inv = [0] * len(self.image)
-        for u, j in enumerate(self.image):
-            inv[j] = u
-        return Perm(inv)
+        # inverse[image[u]] = u: the indices sorted by their images
+        return _trusted(tuple(sorted(range(len(self.image)), key=self.image.__getitem__)))
 
     def is_identity(self):
         return all(j == u for u, j in enumerate(self.image))
@@ -81,19 +79,15 @@ class Perm(_Frozen):
 
     def cycles(self):
         """All cycles, fixed points included, each starting at its least element."""
-        seen = [False] * len(self.image)
+        seen = set()
         out = []
         for start in range(len(self.image)):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            j = self.image[start]
-            while j != start:
-                cycle.append(j)
-                seen[j] = True
-                j = self.image[j]
-            out.append(tuple(cycle))
+            if start not in seen:
+                cycle = [start]
+                while (j := self.image[cycle[-1]]) != start:
+                    cycle.append(j)
+                seen.update(cycle)
+                out.append(tuple(cycle))
         return out
 
     def cycle_string(self):

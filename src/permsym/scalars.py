@@ -39,16 +39,43 @@ def _q(x):
 
 
 class _Frozen:
-    """Base of the immutable value classes: only slot setters write, copies included."""
+    """Base of the immutable value classes: no attribute is set or deleted
+    from outside; only slot setters and ``_fill`` write, copies included."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __setstate__(self, state):
-        for name, value in state[1].items():
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fill(self, **slots):
+        for name, value in slots.items():
             object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        self._fill(**state[1])
+
+
+class _Record(_Frozen):
+    """Base of the records: the slots are the fields, in order, and ``==``,
+    ``hash`` and ``repr`` read their values, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def _operands(method):
@@ -281,10 +308,7 @@ class PolyScalar(_Scalar):
 
     def parameters(self):
         """Sorted names of all parameters that occur."""
-        names = set()
-        for mono, _ in self._terms:
-            names.update(n for n, _ in mono.factors)
-        return sorted(names)
+        return sorted({name for mono, _ in self._terms for name, _ in mono.factors})
 
     # -- ring operations ----------------------------------------------
 

@@ -71,12 +71,11 @@ inner one, at C level, over a block of elements.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
-from typing import Optional
 
 from .perms import Perm, _trusted
+from .scalars import _Record
 
 MODE_LEAF_CHECK = "leaf-check"
 MODE_PRUNED = "pruned"
@@ -86,30 +85,28 @@ MODE_PRUNED = "pruned"
 _LIST_MAX = 1 << 22
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    mode: str = MODE_PRUNED
-    max_results: Optional[int] = None
-    node_budget: Optional[int] = None
-    count_only: bool = False
+class SearchConfig(_Record):
+    __slots__ = ("mode", "max_results", "node_budget", "count_only")
 
-    def __post_init__(self):
-        if self.mode not in (MODE_LEAF_CHECK, MODE_PRUNED):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("max_results", "node_budget"):
-            value = getattr(self, name)
+    def __init__(self, mode=MODE_PRUNED, max_results=None, node_budget=None, count_only=False):
+        if mode not in (MODE_LEAF_CHECK, MODE_PRUNED):
+            raise ValueError(f"unknown mode {mode!r}")
+        for name, value in (("max_results", max_results), ("node_budget", node_budget)):
             if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
                 raise ValueError(f"{name} must be an integer")
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive")
+        if not isinstance(count_only, bool):
+            raise ValueError("count_only must be a bool")
+        self._fill(mode=mode, max_results=max_results, node_budget=node_budget,
+                   count_only=count_only)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    perms: tuple
-    count: int
-    nodes_visited: int
-    exhausted: bool
+class SearchResult(_Record):
+    __slots__ = ("perms", "count", "nodes_visited", "exhausted")
+
+    def __init__(self, perms, count, nodes_visited, exhausted):
+        self._fill(perms=perms, count=count, nodes_visited=nodes_visited, exhausted=exhausted)
 
 
 def is_symmetry(h, p):

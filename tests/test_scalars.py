@@ -17,9 +17,13 @@ import permsym
 from permsym import (
     ExactMatrix,
     GaussRational,
+    ModelSpec,
     ParseError,
     Perm,
     PolyScalar,
+    ProjectorPair,
+    SearchConfig,
+    SearchResult,
     SubspaceBasis,
     SymmetryGroup,
     as_scalar,
@@ -28,6 +32,7 @@ from permsym import (
     rational,
     verify_closure,
 )
+from permsym.models import CATALOG
 from permsym.scalars import MAX_NESTING, MAX_POWER_SIZE, Monomial, _tokenize
 
 from helpers import oracle_add, rand_scalar, reference_tokenize
@@ -630,6 +635,10 @@ VALUES = [
     Perm([1, 0]),
     SubspaceBasis([[1, 0]]),
     verify_closure([Perm([0, 1]), Perm([1, 0])]),
+    SearchConfig(),
+    SearchResult((Perm([1, 0]),), 1, 2, True),
+    ProjectorPair(ExactMatrix.from_rows([[1]]), ExactMatrix.zeros(1)),
+    CATALOG["ising4"],  # the twospin builders are lambdas, which do not pickle
 ]
 
 
@@ -641,6 +650,8 @@ def test_every_value_class_is_immutable(value, existing):
     before = getattr(value, name, None)
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
         setattr(value, name, 1)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        delattr(value, name)
     assert getattr(value, name, None) is before
 
 
@@ -658,6 +669,49 @@ def test_every_value_class_copies_and_pickles(value, duplicate):
         assert (twin.elements, twin.generators) == (value.elements, value.generators)
     else:
         assert twin == value and hash(twin) == hash(value)
+
+
+class TestRecords:
+    """The four records: the reprs are the text of the frozen dataclasses
+    they were, and equality and hashing go by field values."""
+
+    def test_reprs(self):
+        spec = CATALOG["ising4"]
+        assert [repr(r) for r in VALUES[-4:]] == [
+            "SearchConfig(mode='pruned', max_results=None, node_budget=None, count_only=False)",
+            "SearchResult(perms=(Perm([1, 0]),), count=1, nodes_visited=2, exhausted=True)",
+            "ProjectorPair(pi1=<ExactMatrix 1x1>, pi2=<ExactMatrix 1x1>)",
+            "ModelSpec(name='ising4', dimension=16, parameters=(('a', 'nearest-neighbour "
+            "sigma3 coupling'), ('b', 'transverse field strength')), description='cyclic "
+            f"4-site Ising chain in a transverse field', builder={spec.builder!r})",
+        ]
+        assert repr(SearchConfig("leaf-check", 3, 10, True)) == (
+            "SearchConfig(mode='leaf-check', max_results=3, node_budget=10, count_only=True)")
+
+    def test_equality_and_hash_by_value(self):
+        a = SearchConfig("pruned", 3)
+        b = SearchConfig(max_results=3)
+        assert a == b and hash(a) == hash(b) and not a != b
+        assert a != SearchConfig(max_results=4)
+        assert len({a, b, SearchConfig()}) == 2
+        pair = ProjectorPair(ExactMatrix.zeros(1), ExactMatrix.zeros(1))
+        assert pair == ProjectorPair(ExactMatrix.zeros(1), ExactMatrix.zeros(1))
+        # the same field values in a tuple or a record of another type are not equal
+        fields = ("pruned", 3, None, False)
+        assert a != fields and fields != a
+        assert SearchResult(*fields) != a and a != SearchResult(*fields)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SearchConfig(bogus=1),
+        lambda: SearchConfig("pruned", None, None, False, None),
+        lambda: SearchResult((), 0, 0),
+        lambda: ProjectorPair(ExactMatrix.zeros(1)),
+        lambda: ProjectorPair(ExactMatrix.zeros(1), ExactMatrix.zeros(1), pi3=None),
+        lambda: ModelSpec("x", 1, (), "x"),
+    ], ids=["unknown", "too-many", "missing", "missing-pair", "unknown-pair", "missing-spec"])
+    def test_a_wrong_signature_is_a_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_a_pickled_polynomial_hashes_as_the_loading_process_does():

@@ -1,7 +1,6 @@
 import itertools
 import random
 import warnings
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -307,6 +306,12 @@ class TestBudgets:
         with pytest.raises(ValueError, match=f"^{name} must be positive$"):
             SearchConfig(**{name: 0})
 
+    @pytest.mark.parametrize("value", ["no", 1, 0, None], ids=repr)
+    def test_count_only_must_be_a_bool(self, value):
+        # a truthy non-bool such as "no" would count without listing
+        with pytest.raises(ValueError, match="^count_only must be a bool$"):
+            SearchConfig(count_only=value)
+
 
 class TestListingBound:
     """A listing holds at most _LIST_MAX image entries, whichever path lists."""
@@ -324,8 +329,9 @@ class TestListingBound:
         monkeypatch.setattr(permsym.search, "_LIST_MAX", 24 * 4 - 1)
         with pytest.raises(ValueError, match="^over 23 symmetries of dimension 4: too many to list$"):
             find_symmetries(h, cfg)
-        assert find_symmetries(h, replace(cfg, count_only=True)).count == 24
-        partial = find_symmetries(h, replace(cfg, max_results=23))
+        counted = SearchConfig(cfg.mode, cfg.max_results, cfg.node_budget, count_only=True)
+        assert find_symmetries(h, counted).count == 24
+        partial = find_symmetries(h, SearchConfig(cfg.mode, 23, cfg.node_budget, cfg.count_only))
         assert (len(partial.perms), partial.exhausted) == (23, False)
 
     def test_a_zero_matrix_of_dimension_16_is_counted_not_listed(self):
